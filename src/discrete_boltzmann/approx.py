@@ -164,9 +164,10 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
 
 def continuous_exponential_pdf(mu: Rational) -> Callable[[float], float]:
     """Density of the exponential law with rate 1/mu on [0, inf)."""
-    rate = 1.0 / float(Fraction(mu))
-    if rate <= 0:
+    mu = Fraction(mu)
+    if mu <= 0:
         raise ValueError("mu must be positive")
+    rate = 1.0 / float(mu)
 
     def pdf(x: float) -> float:
         return rate * math.exp(-rate * x) if x >= 0 else 0.0

@@ -17,12 +17,11 @@ kept as its oracle.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .distributions import Dist, flrn, image, pushforward, uniform
 from .multisets import coefficient, enumerate_multisets_with_sum, multichoose
-from .nomials import DEFAULT_BUDGET, nomial
+from .nomials import DEFAULT_BUDGET, _sequences_with_sum, nomial
 
 __all__ = [
     "boltzmann_on_multisets",
@@ -93,10 +92,7 @@ def microstate_uniform(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> 
     over 0..n-1 that sum to i.  Enumerates all n**k sequences, so a
     budget guard applies."""
     _validate_config(n, k, i)
-    if n ** k > budget:
-        raise ValueError(f"enumeration of {n}**{k} sequences exceeds budget {budget}")
-    seqs = [v for v in itertools.product(range(n), repeat=k) if sum(v) == i]
-    return uniform(seqs)
+    return uniform(_sequences_with_sum(n, k, i, budget))
 
 
 def projection_marginal(omega: Dist, pos: int) -> Dist:

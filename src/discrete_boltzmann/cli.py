@@ -28,7 +28,7 @@ from .boltzmann import (
     scaled_unnormalized,
 )
 from .distributions import Dist, point, uniform
-from .ketform import dist_to_csv_rows, dist_to_json, element_text, format_dist
+from .ketform import dist_to_csv_rows, dist_to_json
 from .multisets import parse_multiset
 from .multivariate import (
     boltzmann_multi,
@@ -45,7 +45,7 @@ from .nomials import (
     nomial_recursive,
     nomial_via_multisets,
 )
-from .verify import run_all
+from .verify import _nomial_route_agreement, run_all
 
 __all__ = ["run", "main", "export_plot_data"]
 
@@ -58,11 +58,8 @@ def export_plot_data(omega: Dist, path: str) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,probability,numerator,denominator\n")
-        for x, p in omega.items():
-            cell = element_text(x)
-            if "," in cell:
-                cell = f'"{cell}"'
-            fh.write(f"{cell},{float(p):.12g},{p.numerator},{p.denominator}\n")
+        for row, p in zip(dist_to_csv_rows(omega), omega.weights()):
+            fh.write(f"{row},{p.numerator},{p.denominator}\n")
 
 
 def _default_format() -> str:
@@ -72,7 +69,7 @@ def _default_format() -> str:
 def _emit_dist(omega: Dist, args: argparse.Namespace) -> None:
     fmt = getattr(args, "format", None) or _default_format()
     if fmt == "kets":
-        print(format_dist(omega))
+        print(omega)
     elif fmt == "json":
         envelope = {
             "command": " ".join(args.command_echo),
@@ -115,30 +112,24 @@ def _cmd_nomial_table(args) -> int:
 
 
 def _cmd_nomial_check(args) -> int:
-    failures = 0
-    for n in range(1, args.max_levels + 1):
-        for k in range(args.max_length + 1):
-            for i in range((n - 1) * k + 1):
-                values = {nomial(n, k, i), nomial_via_multisets(n, k, i),
-                          nomial_recursive(n, k, i)}
-                if n ** k <= args.budget:
-                    values.add(nomial_enum_sequences(n, k, i, args.budget))
-                if len(values) != 1:
-                    print(f"FAIL N={n} K={k} i={i}: {sorted(values)}")
-                    failures += 1
-    print(f"{'FAIL' if failures else 'PASS'} nomial route agreement "
-          f"(N <= {args.max_levels}, K <= {args.max_length})")
-    return 1 if failures else 0
+    name = f"nomial route agreement (N <= {args.max_levels}, K <= {args.max_length})"
+    try:
+        _nomial_route_agreement(args.max_levels, args.max_length, args.budget)
+    except AssertionError as exc:
+        print(f"FAIL {name}: {exc}")
+        return 1
+    print(f"PASS {name}")
+    return 0
 
 
 def _cmd_boltzmann(args) -> int:
     kind = args.family
     if kind == "energy":
         e, k = args.total_energy, args.particles
-        dist = boltzmann_on_energy(e, k)
         if args.scaled:
             print(",".join(f"{v:.12g}" for v in scaled_unnormalized(e, k)))
             return 0
+        dist = boltzmann_on_energy(e, k)
     else:
         n, k = args.levels, args.particles
         i = args.sum if args.sum is not None else args.total_energy
@@ -327,24 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     markov = sub.add_parser("markov", help="the sum-preserving shift chain").add_subparsers(
         dest="action", required=True)
-    stat = markov.add_parser("stationarity", help="exact equilibrium residual")
-    for p in (stat,):
+    for action, handler, help_text in (
+            ("stationarity", _cmd_markov_stationarity, "exact equilibrium residual"),
+            ("iterate", _cmd_markov_iterate, "pushforward iteration trace"),
+            ("matrix", _cmd_markov_matrix, "explicit transition matrix")):
+        p = markov.add_parser(action, help=help_text)
         p.add_argument("--levels", type=int, required=True)
         p.add_argument("--particles", type=int, required=True)
         p.add_argument("--sum", "--total-energy", dest="sum", type=int, required=True)
-    stat.set_defaults(handler=_cmd_markov_stationarity)
-    it = markov.add_parser("iterate", help="pushforward iteration trace")
-    it.add_argument("--levels", type=int, required=True)
-    it.add_argument("--particles", type=int, required=True)
-    it.add_argument("--sum", "--total-energy", dest="sum", type=int, required=True)
-    it.add_argument("--steps", type=int, default=10)
-    it.add_argument("--start", choices=["uniform", "first", "last"], default="uniform")
-    it.set_defaults(handler=_cmd_markov_iterate)
-    mat = markov.add_parser("matrix", help="explicit transition matrix")
-    mat.add_argument("--levels", type=int, required=True)
-    mat.add_argument("--particles", type=int, required=True)
-    mat.add_argument("--sum", "--total-energy", dest="sum", type=int, required=True)
-    mat.set_defaults(handler=_cmd_markov_matrix)
+        if action == "iterate":
+            p.add_argument("--steps", type=int, default=10)
+            p.add_argument("--start", choices=["uniform", "first", "last"], default="uniform")
+        p.set_defaults(handler=handler)
 
     appx = sub.add_parser("approx", help="approximation comparison").add_subparsers(
         dest="action", required=True)

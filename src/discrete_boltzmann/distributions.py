@@ -87,15 +87,17 @@ class Dist:
         return image(self, f)
 
     def __str__(self) -> str:
-        return " + ".join(f"{p}|{_format_element(x)}>" for x, p in self._w.items())
+        return " + ".join(f"{p}|{element_text(x)}>" for x, p in self._w.items())
 
     def __repr__(self) -> str:
         return f"<Dist {self}>"
 
 
-def _format_element(x: Any) -> str:
+def element_text(x: Any) -> str:
+    """The text of one support element: tuples list their components
+    separated by commas; anything else prints as ``str``."""
     if isinstance(x, tuple):
-        return ", ".join(_format_element(c) for c in x)
+        return ", ".join(element_text(c) for c in x)
     return str(x)
 
 
@@ -184,8 +186,12 @@ def variance(omega: Dist) -> Fraction:
 
 
 def entropy(omega: Dist) -> float:
-    """Shannon entropy in nats: -sum p ln p (no zero weights are stored)."""
-    return -sum(float(p) * math.log(float(p)) for p in omega.weights())
+    """Shannon entropy in nats: -sum p ln p (no zero weights are stored).
+
+    A weight whose float underflows to 0.0 is skipped: its p ln p term
+    is far below half an ulp of the sum.
+    """
+    return -sum(p * math.log(p) for p in map(float, omega.weights()) if p)
 
 
 def kl_divergence(omega: Dist, rho: Dist) -> float:

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .distributions import Dist
+from .distributions import Dist, element_text
 from .multisets import GroundSet, Multiset, parse_multiset
 
 __all__ = [
@@ -30,12 +30,6 @@ __all__ = [
     "dist_to_csv_rows",
     "element_text",
 ]
-
-
-def element_text(x: Any) -> str:
-    if isinstance(x, tuple):
-        return ", ".join(element_text(c) for c in x)
-    return str(x)
 
 
 def format_dist(omega: Dist) -> str:

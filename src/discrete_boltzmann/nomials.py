@@ -4,13 +4,14 @@ C_N(K, i) counts the length-K sequences over {0, ..., N-1} whose entries
 sum to i.  The binomial coefficients are the N=2 column of this family,
 the trinomial and quadrinomial triangles the N=3 and N=4 columns.  The
 four routes here (direct sequence enumeration, summing multiset
-coefficients, the memoized recursion, and the multichoose closed form
+coefficients, the dense-table recursion, and the multichoose closed form
 for i < N) agree wherever their preconditions overlap; tests and the
 verification sweep hold them against each other.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .multisets import (
@@ -51,18 +52,16 @@ def nomial_enum_sequences(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) 
     than ``budget`` sequences.
     """
     _validate(n, k, i)
+    return sum(1 for _ in _sequences_with_sum(n, k, i, budget))
+
+
+def _sequences_with_sum(n: int, k: int, i: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """The length-k sequences over 0..n-1 summing to i, found by brute
+    force over all n**k; refuses before starting when that exceeds
+    ``budget``."""
     if n ** k > budget:
         raise ValueError(f"enumeration of {n}**{k} sequences exceeds budget {budget}")
-    count = 0
-    for v in _sequences(n, k):
-        if sum(v) == i:
-            count += 1
-    return count
-
-
-def _sequences(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    import itertools
-    return itertools.product(range(n), repeat=k)
+    return (v for v in itertools.product(range(n), repeat=k) if sum(v) == i)
 
 
 def nomial_via_multisets(n: int, k: int, i: int) -> int:
@@ -91,7 +90,7 @@ def nomial_recursive(n: int, k: int, i: int) -> int:
             lo = max(0, level - (n - 1))
             hi = min(level, len(prev) - 1)
             row[level] = sum(prev[lo:hi + 1])
-    return row[i] if i < len(row) else 0
+    return row[i]
 
 
 def nomial_closed_form(n: int, k: int, i: int) -> int:
@@ -108,7 +107,7 @@ def nomial(n: int, k: int, i: int) -> int:
     """C_N(K, i) via the cheapest applicable route.
 
     Dispatches to the multichoose closed form when i < N, otherwise to
-    the memoized recursion.  Never 0 for valid parameters.
+    the dense-table recursion.  Never 0 for valid parameters.
     """
     _validate(n, k, i)
     if k >= 1 and i < n:
@@ -147,6 +146,15 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _expansion_rows(n: int) -> Iterator[list[int]]:
+    """The coefficient rows of (1 + x + ... + x^(N-1))^K for K = 0, 1, ...;
+    each row costs one convolution of the previous one."""
+    row, base = [1], [1] * n
+    while True:
+        yield row
+        row = _convolve(row, base)
+
+
 def polynomial_expand(n: int, k: int) -> list[int]:
     """Exact integer coefficients of (1 + x + ... + x^(N-1))^K.
 
@@ -155,11 +163,7 @@ def polynomial_expand(n: int, k: int) -> list[int]:
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    row = [1]
-    base = [1] * n
-    for _ in range(k):
-        row = _convolve(row, base)
-    return row
+    return next(itertools.islice(_expansion_rows(n), k, None))
 
 
 def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
@@ -185,11 +189,7 @@ class NomialTable:
             raise ValueError("need n >= 1 and k_max >= 0")
         self._n = n
         self._k_max = k_max
-        rows = [[1]]
-        base = [1] * n
-        for _ in range(k_max):
-            rows.append(_convolve(rows[-1], base))
-        self._rows = rows
+        self._rows = list(itertools.islice(_expansion_rows(n), k_max + 1))
 
     @property
     def n(self) -> int:

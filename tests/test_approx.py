@@ -174,6 +174,11 @@ class TestContinuousPdf:
     def test_negative_is_zero(self):
         assert continuous_exponential_pdf(2)(-1.0) == 0.0
 
+    @pytest.mark.parametrize("mu", [0, -3, F(-1, 2)])
+    def test_nonpositive_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            continuous_exponential_pdf(mu)
+
 
 class TestCompare:
     def test_figure_instance(self):

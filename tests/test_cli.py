@@ -44,6 +44,15 @@ class TestNomialCommands:
         assert code == 0
         assert lines[-1].startswith("PASS")
 
+    def test_check_reports_a_disagreeing_route(self, capsys, monkeypatch):
+        import discrete_boltzmann.verify as verify
+        monkeypatch.setattr(verify, "nomial_recursive", lambda n, k, i: 7)
+        code, lines = run_lines(capsys, "nomial", "check", "--max-levels", "2",
+                                "--max-length", "2")
+        assert code == 1
+        assert lines == ["FAIL nomial route agreement (N <= 2, K <= 2): "
+                         "routes disagree at N=1, K=0, i=0: {1, 7}"]
+
 
 class TestBoltzmannCommands:
     def test_energy_kets(self, capsys):
@@ -214,6 +223,18 @@ class TestPlotExport:
         export_plot_data(point(3), str(path))
         rows = path.read_text().strip().splitlines()
         assert rows == ["index,probability,numerator,denominator", "3,1,1,1"]
+
+    def test_tuple_elements_are_quoted(self, tmp_path):
+        from discrete_boltzmann import boltzmann_multi, parse_multiset
+        path = tmp_path / "multi.csv"
+        export_plot_data(boltzmann_multi(3, parse_multiset("1|a> + 2|b>"), 2), str(path))
+        assert path.read_text().splitlines() == [
+            "index,probability,numerator,denominator",
+            '"1|2>, 2|0>",0.166666666667,1,6',
+            '"1|1>, 1|0> + 1|1>",0.333333333333,1,3',
+            '"1|0>, 2|1>",0.166666666667,1,6',
+            '"1|0>, 1|0> + 1|2>",0.333333333333,1,3',
+        ]
 
     def test_output_flag(self, capsys, tmp_path):
         path = tmp_path / "fig.csv"

@@ -10,6 +10,7 @@ from discrete_boltzmann import (
     Channel,
     Dist,
     accumulate,
+    boltzmann_on_energy,
     boltzmann_on_multisets,
     boltzmann_on_numbers,
     channel_compose,
@@ -191,6 +192,11 @@ class TestInformationMeasures:
 
     def test_uniform_entropy(self):
         assert entropy(uniform(range(8))) == pytest.approx(math.log(8))
+
+    def test_entropy_skips_weights_that_underflow(self):
+        omega = boltzmann_on_energy(1000, 1000)
+        assert any(float(p) == 0.0 for p in omega.weights())
+        assert entropy(omega) == pytest.approx(2 * math.log(2), abs=1e-5)
 
     def test_kl_self_is_zero(self):
         omega = Dist([(0, F(1, 3)), (1, F(2, 3))])
