@@ -154,7 +154,9 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
         return point(0), 0.0
     if mu == e:
         return point(e), math.inf
-    s = _solve_base(e, float(mu))
+    # above E/2 the root exceeds 1 and the float bracket search can overflow;
+    # the reversal j -> E - j maps mean mu to E - mu and the base s to 1/s
+    s = 1 / _solve_base(e, float(e - mu)) if 2 * mu > e else _solve_base(e, float(mu))
     base = Fraction(s)
     dist = _normalized([base ** j for j in range(e + 1)])
     if abs(float(mean(dist) - mu)) >= 1e-9:

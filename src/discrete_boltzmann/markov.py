@@ -11,6 +11,7 @@ exact rational computations, never tolerance-based.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from .multisets import (
     enumerate_multisets_with_sum,
     levels,
     som,
-    unit,
 )
 
 __all__ = [
@@ -55,22 +55,21 @@ def shift(phi: Multiset) -> Dist:
     """
     if not phi.ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
-    n = len(phi.ground)
-    k = phi.size
+    vec = phi.counts_vector()
+    n, k = len(vec), sum(vec)
     if k == 0:
         raise ValueError("shift needs at least one particle")
-    pairs: list[tuple[Multiset, Fraction]] = [(phi, Fraction(phi(0), k))]
+    pairs: list[tuple[Multiset, Fraction]] = [(phi, Fraction(vec[0], k))]
     for d in range(1, n):
-        if phi(d) == 0:
+        if vec[d] == 0:
             continue
-        inter = phi - unit(phi.ground, d) + unit(phi.ground, d - 1)
-        movable = k - inter(n - 1)
-        down_p = Fraction(phi(d), k)
+        inter = vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:]
+        movable = k - inter[n - 1]
         for u in range(n - 1):
-            if inter(u) == 0:
-                continue
-            target = inter - unit(phi.ground, u) + unit(phi.ground, u + 1)
-            pairs.append((target, down_p * Fraction(inter(u), movable)))
+            if inter[u]:
+                target = inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:]
+                pairs.append((Multiset._from_vector(phi.ground, target),
+                              Fraction(vec[d] * inter[u], k * movable)))
     return Dist(pairs)
 
 
@@ -146,22 +145,20 @@ def transition_matrix(n: int, k: int, i: int,
 def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multiset]:
     """Demo Monte-Carlo walk along the chain with a seeded generator.
 
+    Each successor is drawn exactly: one uniform integer below the lcm L
+    of the step's denominators walks the integer cumulative weights.
     Sampling is a demonstration feature only; every equilibrium claim in
     this module is established by exact pushforward instead.
     """
     rng = random.Random(seed)
     path = [phi0]
-    current = phi0
     for _ in range(steps):
-        step = shift(current)
-        r = rng.random()
-        acc = 0.0
-        chosen = None
-        for psi, w in step.items():
-            acc += float(w)
-            if r < acc:
-                chosen = psi
+        items = shift(path[-1]).items()
+        scale = math.lcm(*(w.denominator for _, w in items))
+        r = rng.randrange(scale)
+        for psi, w in items:
+            r -= w.numerator * (scale // w.denominator)
+            if r < 0:
+                path.append(psi)
                 break
-        current = chosen if chosen is not None else step.support[-1]
-        path.append(current)
     return path

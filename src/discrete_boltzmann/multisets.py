@@ -1,7 +1,9 @@
 """Exact multisets over finite ground sets.
 
 A multiset assigns a natural multiplicity to each label of a fixed,
-ordered ground set.  Everything here is pure, immutable, and computed
+ordered ground set.  It is stored as its dense count vector in ground
+order, the one form that enumeration, arithmetic and the shift chain
+all compute in.  Everything here is pure, immutable, and computed
 with arbitrary-precision integers; no floating point enters this module.
 
 Ket text form
@@ -118,31 +120,36 @@ def levels(n: int) -> GroundSet:
 
 
 class Multiset:
-    """A finite map from ground-set labels to positive multiplicities.
-
-    Zero entries are normalized away at construction; equality and
-    hashing see only the ground set and the stored (label, count) pairs.
+    """A finite map from ground-set labels to natural multiplicities,
+    stored only as its dense count vector (a tuple in ground order), the
+    form that enumeration, arithmetic and the shift chain compute in.
+    Equality and hashing see the ground set and that vector.
     """
 
-    __slots__ = ("_ground", "_counts", "_hash")
+    __slots__ = ("_ground", "_vec", "_hash")
 
     def __init__(self, ground: GroundSet,
                  counts: Union[Mapping[Label, int], Iterable[tuple[Label, int]]] = ()):
         if not isinstance(ground, GroundSet):
             raise TypeError("ground must be a GroundSet")
         items = counts.items() if isinstance(counts, Mapping) else counts
-        acc: dict[Label, int] = {}
+        vec = [0] * len(ground)
         for label, n in items:
             if label not in ground:
                 raise ValueError(f"label {label!r} not in ground set")
             if not isinstance(n, int) or n < 0:
                 raise ValueError(f"multiplicity of {label!r} must be a natural, got {n!r}")
-            if n:
-                acc[label] = acc.get(label, 0) + n
+            vec[ground.index(label)] += n
         self._ground = ground
-        # stored in ground order so iteration and hashing are canonical
-        self._counts = {x: acc[x] for x in ground if x in acc}
-        self._hash = hash((ground, tuple(self._counts.items())))
+        self._vec = tuple(vec)
+        self._hash = hash((ground, self._vec))
+
+    @classmethod
+    def _from_vector(cls, ground: GroundSet, vec: tuple[int, ...]) -> "Multiset":
+        """Trusted constructor: ``vec`` is a tuple of naturals in ground order."""
+        phi = object.__new__(cls)
+        phi._ground, phi._vec, phi._hash = ground, vec, hash((ground, vec))
+        return phi
 
     @property
     def ground(self) -> GroundSet:
@@ -151,29 +158,30 @@ class Multiset:
     @property
     def size(self) -> int:
         """Total number of elements, multiplicities included."""
-        return sum(self._counts.values())
+        return sum(self._vec)
 
     def support(self) -> tuple[Label, ...]:
         """Labels with nonzero multiplicity, in ground order."""
-        return tuple(self._counts)
+        return tuple(x for x, n in zip(self._ground.labels, self._vec) if n)
 
     def counts_vector(self) -> tuple[int, ...]:
         """Dense multiplicity vector following the ground-set order."""
-        return tuple(self._counts.get(x, 0) for x in self._ground)
+        return self._vec
 
     def items(self) -> tuple[tuple[Label, int], ...]:
-        return tuple(self._counts.items())
+        return tuple((x, n) for x, n in zip(self._ground.labels, self._vec) if n)
 
     def __call__(self, label: Label) -> int:
-        return self._counts.get(label, 0)
+        k = self._ground._index.get(label)
+        return 0 if k is None else self._vec[k]
 
     def __bool__(self) -> bool:
-        return bool(self._counts)
+        return any(self._vec)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Multiset)
-                and self._ground == other._ground
-                and self._counts == other._counts)
+                and self._vec == other._vec
+                and self._ground == other._ground)
 
     def __hash__(self) -> int:
         return self._hash
@@ -183,26 +191,22 @@ class Multiset:
 
     def __add__(self, other: "Multiset") -> "Multiset":
         self._require_common_ground(other)
-        merged = dict(self._counts)
-        for x, n in other._counts.items():
-            merged[x] = merged.get(x, 0) + n
-        return Multiset(self._ground, merged)
+        return Multiset._from_vector(
+            self._ground, tuple(a + b for a, b in zip(self._vec, other._vec)))
 
     def __sub__(self, other: "Multiset") -> "Multiset":
         self._require_common_ground(other)
-        diff = dict(self._counts)
-        for x, n in other._counts.items():
-            if diff.get(x, 0) < n:
-                raise ValueError("multiset subtraction would go negative")
-            diff[x] = diff[x] - n
-        return Multiset(self._ground, diff)
+        diff = tuple(a - b for a, b in zip(self._vec, other._vec))
+        if min(diff) < 0:
+            raise ValueError("multiset subtraction would go negative")
+        return Multiset._from_vector(self._ground, diff)
 
     def __mul__(self, k: int) -> "Multiset":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("cannot scale a multiset by a negative factor")
-        return Multiset(self._ground, {x: k * n for x, n in self._counts.items()})
+        return Multiset._from_vector(self._ground, tuple(k * n for n in self._vec))
 
     __rmul__ = __mul__
 
@@ -275,14 +279,13 @@ def reverse(phi: Multiset) -> Multiset:
     """Flip level j to level N-1-j; multiset coefficients are preserved."""
     if not phi.ground.is_levels():
         raise ValueError("reverse requires the ground set 0..N-1")
-    n = len(phi.ground)
-    return Multiset(phi.ground, {n - 1 - x: c for x, c in phi.items()})
+    return Multiset._from_vector(phi.ground, phi.counts_vector()[::-1])
 
 
 def leq(phi: Multiset, psi: Multiset) -> bool:
     """Pointwise comparison of multiplicities over a common ground set."""
     phi._require_common_ground(psi)
-    return all(c <= psi(x) for x, c in phi.items())
+    return all(a <= b for a, b in zip(phi.counts_vector(), psi.counts_vector()))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +360,9 @@ def enumerate_multisets(ground: GroundSet, k: int,
     """
     if k < 0:
         raise ValueError("size must be a natural")
-    labs = ground.labels
-    cap_vec = [k] * len(labs) if caps is None else [min(k, caps.get(x, 0)) for x in labs]
+    cap_vec = [k] * len(ground) if caps is None else [min(k, caps.get(x, 0)) for x in ground]
     for vec in _bounded_compositions(k, cap_vec):
-        yield Multiset(ground, zip(labs, vec))
+        yield Multiset._from_vector(ground, vec)
 
 
 def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
@@ -375,9 +377,8 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     if not 0 <= i <= (n - 1) * k:
         raise ValueError(f"target sum {i} out of range [0, {(n - 1) * k}]")
     ground = levels(n)
-    labs = ground.labels
     for vec in _level_sum_compositions(n, k, i):
-        yield Multiset(ground, zip(labs, vec))
+        yield Multiset._from_vector(ground, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,14 @@ class TestMaxEntropy:
             tilted = _tilt_to_mean(noisy, float(mu))
             assert entropy(tilted) <= best + 1e-12
 
+    def test_mean_near_top_solved_by_reversal(self):
+        # above E/2 the direct bracket search overflowed once E >= 150
+        for e, mu in [(150, F(14999, 100)), (400, F(39999, 100))]:
+            dist, s = max_entropy_dist(e, mu)
+            assert dist.support == tuple(range(e + 1))
+            assert abs(float(mean(dist) - mu)) < 1e-9
+            assert s > 1
+
     def test_solver_brackets_single_root(self):
         # the stationarity polynomial changes sign exactly once on (0, inf)
         for e, mu in [(25, 5.0), (10, 2.5), (15, 9.0)]:

@@ -1,8 +1,11 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from discrete_boltzmann import (
+    Dist,
     boltzmann_on_multisets,
     boltzmann_on_numbers,
     coefficient,
@@ -23,6 +26,7 @@ from discrete_boltzmann import (
     total_variation,
     transition_matrix,
     uniform,
+    unit,
 )
 
 F = Fraction
@@ -32,7 +36,32 @@ def ms(text, n):
     return parse_multiset(text, levels(n))
 
 
+def _shift_reference(phi):
+    """The kernel as the paper defines it, written in multiset arithmetic."""
+    g, n, k = phi.ground, len(phi.ground), phi.size
+    pairs = [(phi, F(phi(0), k))]
+    for d in range(1, n):
+        if phi(d) == 0:
+            continue
+        inter = phi - unit(g, d) + unit(g, d - 1)
+        movable = k - inter(n - 1)
+        for u in range(n - 1):
+            if inter(u):
+                target = inter - unit(g, u) + unit(g, u + 1)
+                pairs.append((target, F(phi(d), k) * F(inter(u), movable)))
+    return Dist(pairs)
+
+
 class TestShiftKernel:
+    def test_matches_multiset_arithmetic_definition(self):
+        for n in range(1, 6):
+            for k in range(1, 6):
+                for i in range((n - 1) * k + 1):
+                    for phi in enumerate_multisets_with_sum(n, k, i):
+                        step, ref = shift(phi), _shift_reference(phi)
+                        assert step == ref, phi
+                        assert step.items() == ref.items(), phi
+
     def test_walkthrough_targets(self):
         # downgrade/upgrade moves from 1|0>+2|1>+3|2> reach exactly the
         # two displaced configurations plus the original
@@ -194,3 +223,15 @@ class TestSampling:
         phi = ms("1|0> + 2|1> + 3|2>", 3)
         for state in sample_trajectory(phi, 50, seed=1):
             assert state.size == 6 and som(state) == 8
+
+    def test_one_step_frequencies_match_kernel(self):
+        # successors are drawn exactly from the integer cumulative weights,
+        # so seeded one-step frequencies sit within 4 sigma of shift(phi)
+        phi = ms("1|0> + 2|1> + 3|2>", 3)
+        trials = 2000
+        seen = Counter(sample_trajectory(phi, 1, seed=s)[1] for s in range(trials))
+        step = shift(phi)
+        assert set(seen) <= set(step.support)
+        for psi, w in step.items():
+            sigma = math.sqrt(trials * float(w) * (1 - float(w)))
+            assert abs(seen[psi] - trials * float(w)) <= 4 * sigma, (psi, seen[psi])

@@ -286,7 +286,33 @@ def _multiset_pairs(draw):
     return draw(_level_multisets(n=n)), draw(_level_multisets(n=n))
 
 
+def _assert_matches_validated(phi):
+    """``phi`` equals, and hashes like, the validated construction from
+    its terms, in any order and padded with a zero term."""
+    terms = list(phi.items())
+    zero = [(phi.ground.labels[-1], 0)]
+    for given_terms in (terms, terms[::-1], terms + zero, zero + terms[::-1]):
+        rebuilt = Multiset(phi.ground, given_terms)
+        assert rebuilt == phi and hash(rebuilt) == hash(phi), (phi, given_terms)
+
+
 class TestProperties:
+    def test_enumerated_match_validated_construction(self):
+        for phi in enumerate_multisets(GroundSet("RGB"), 4):
+            _assert_matches_validated(phi)
+        for phi in enumerate_multisets(levels(4), 5, caps={0: 1, 2: 3, 3: 2}):
+            _assert_matches_validated(phi)
+        for phi in enumerate_multisets_with_sum(5, 4, 6):
+            _assert_matches_validated(phi)
+
+    @given(_multiset_pairs())
+    @settings(max_examples=80)
+    def test_arithmetic_matches_validated_construction(self, pair):
+        phi, psi = pair
+        for result in (reverse(phi), phi + psi, (phi + psi) - psi, phi - phi,
+                       3 * phi, phi * 0):
+            _assert_matches_validated(result)
+
     @given(_level_multisets())
     @settings(max_examples=80)
     def test_reverse_preserves_coefficient_and_size(self, phi):
