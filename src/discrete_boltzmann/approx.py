@@ -20,6 +20,7 @@ sums to exactly 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -40,9 +41,12 @@ __all__ = [
 ]
 
 
-def _normalized(weights: list[Fraction]) -> Dist:
-    total = sum(weights)
-    return Dist(enumerate(w / total for w in weights))
+def _geometric(e: int, p: int, q: int) -> Dist:
+    """Normalize (p/q)^j over 0..E from the integers p^j * q^(E-j)."""
+    weights = [q ** e]
+    for _ in range(e):
+        weights.append(weights[-1] // q * p)
+    return Dist(enumerate(weights), sum(weights))
 
 
 def ratio_approx(e: int, mu: Rational) -> Dist:
@@ -53,8 +57,14 @@ def ratio_approx(e: int, mu: Rational) -> Dist:
     mu = Fraction(mu)
     if e < 1 or mu <= 0:
         raise ValueError("need E >= 1 and mu > 0")
-    r = mu / (mu + 1)
-    return _normalized([r ** j for j in range(e + 1)])
+    return _geometric(e, mu.numerator, mu.numerator + mu.denominator)
+
+
+# ln 2 to 40 digits: k * _LN2 - y keeps a double's precision for every k
+# that MAX_LIFT_BITS admits
+_LN2 = Fraction("0.6931471805599453094172321214581765680755")
+# the lifted weights are held exactly; their common denominator grows as E/mu
+MAX_LIFT_BITS = 1 << 27
 
 
 def discrete_exponential(e: int, mu: Rational) -> Dist:
@@ -62,13 +72,30 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
 
     The raw weights are double precision; they are lifted exactly to
     rationals before normalizing, so the result is a genuine
-    distribution (sum exactly 1) whose values carry float accuracy.
+    distribution (sum exactly 1) whose values carry float accuracy.  A
+    weight below the normal float range is lifted from the split form
+    e^(-y) = e^(k ln 2 - y) * 2^(-k) instead, so the support stays 0..E.
     """
     mu = Fraction(mu)
     if e < 1 or mu <= 0:
         raise ValueError("need E >= 1 and mu > 0")
     rate = 1.0 / float(mu)
-    return _normalized([Fraction(math.exp(-rate * j)) for j in range(e + 1)])
+    if math.exp(-rate * e) < sys.float_info.min and (e + 1) * e / mu / _LN2 > MAX_LIFT_BITS:
+        raise ValueError(f"discrete_exponential({e}, {mu}) would hold weights down to "
+                         f"e^(-{float(e / mu):.6g}) exactly, over {MAX_LIFT_BITS} bits")
+    ratios = []
+    for j in range(e + 1):
+        w = math.exp(-rate * j)
+        if w >= sys.float_info.min:
+            ratios.append(w.as_integer_ratio())
+        else:
+            y = j / mu
+            k = round(y / _LN2)
+            m, d = math.exp(float(k * _LN2 - y)).as_integer_ratio()
+            ratios.append((m, d << k))
+    scale = max(d for _, d in ratios)
+    weights = [m * (scale // d) for m, d in ratios]
+    return Dist(enumerate(weights), sum(weights))
 
 
 def _mean_polynomial(e: int, mu: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
@@ -136,7 +163,16 @@ def _solve_base(e: int, mu: float) -> float:
         d = fprime(x)
         newton = x - fx / d if d else x
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
-    return x
+    # Newton can creep down a steep flank without shrinking the bracket
+    while True:
+        x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) < 1e-12 or hi - lo < 1e-15 * max(1.0, x):
+            return x
+        if fx < 0:
+            lo = x
+        else:
+            hi = x
 
 
 def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
@@ -157,8 +193,7 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
     # above E/2 the root exceeds 1 and the float bracket search can overflow;
     # the reversal j -> E - j maps mean mu to E - mu and the base s to 1/s
     s = 1 / _solve_base(e, float(e - mu)) if 2 * mu > e else _solve_base(e, float(mu))
-    base = Fraction(s)
-    dist = _normalized([base ** j for j in range(e + 1)])
+    dist = _geometric(e, *s.as_integer_ratio())
     if abs(float(mean(dist) - mu)) >= 1e-9:
         raise ArithmeticError(f"solved mean misses the target by {float(mean(dist) - mu)}")
     return dist, s

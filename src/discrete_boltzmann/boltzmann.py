@@ -17,8 +17,6 @@ kept as its oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .distributions import Dist, flrn, image, pushforward, uniform
 from .multisets import coefficient, enumerate_multisets_with_sum, multichoose
 from .nomials import DEFAULT_BUDGET, _sequences_with_sum, nomial
@@ -45,9 +43,8 @@ def boltzmann_on_multisets(n: int, k: int, i: int) -> Dist:
     """Configurations of k particles over n levels with total energy i,
     weighted by their multiset coefficients."""
     _validate_config(n, k, i)
-    total = nomial(n, k, i)
-    return Dist((phi, Fraction(coefficient(phi), total))
-                for phi in enumerate_multisets_with_sum(n, k, i))
+    return Dist(((phi, coefficient(phi)) for phi in enumerate_multisets_with_sum(n, k, i)),
+                nomial(n, k, i))
 
 
 def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
@@ -57,13 +54,8 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     no weight, so for i < N the support stays within 0..i.
     """
     _validate_config(n, k, i)
-    total = nomial(n, k, i)
-    pairs = []
-    for j in range(min(n, i + 1)):
-        rest = i - j
-        if rest <= (n - 1) * (k - 1):
-            pairs.append((j, Fraction(nomial(n, k - 1, rest), total)))
-    return Dist(pairs)
+    js = range(max(0, i - (n - 1) * (k - 1)), min(n, i + 1))
+    return Dist(((j, nomial(n, k - 1, i - j)) for j in js), nomial(n, k, i))
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:
@@ -83,8 +75,7 @@ def boltzmann_on_energy(e: int, k: int) -> Dist:
     """
     if e < 1 or k < 2:
         raise ValueError("energy family needs E >= 1 and K >= 2")
-    total = multichoose(k, e)
-    return Dist((j, Fraction(multichoose(k - 1, e - j), total)) for j in range(e + 1))
+    return Dist(((j, multichoose(k - 1, e - j)) for j in range(e + 1)), multichoose(k, e))
 
 
 def microstate_uniform(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> Dist:

@@ -1,9 +1,10 @@
 """Finite discrete distributions with exact rational weights.
 
-A ``Dist`` stores weights as ``fractions.Fraction`` values that sum to
-exactly 1; construction fails otherwise, so every distribution built
-from a counting formula implicitly re-proves its normalization.  The
-only floating-point outputs in this module are ``entropy`` and
+A ``Dist`` stores integer numerators over one common denominator in
+lowest terms, the form of the paper's counts over their normalizer.
+``Dist(counts, total)`` fails unless the counts sum to ``total``, so
+every family re-proves its normalization in one integer comparison.
+The only floating-point outputs here are ``entropy`` and
 ``kl_divergence`` (natural-log convention, 0*ln 0 = 0).
 
 Support elements may be numbers, labels, multisets, or tuples; elements
@@ -20,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .multisets import GroundSet, Multiset, coefficient, enumerate_multisets
 
-Weight = Union[int, Fraction]
+Weights = Union[Mapping[Any, Union[int, Fraction]], Iterable[tuple[Any, Union[int, Fraction]]]]
 
 __all__ = [
     "Dist",
@@ -43,51 +44,62 @@ __all__ = [
 class Dist:
     """A finite formal convex sum of elements with exact rational weights."""
 
-    __slots__ = ("_w",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, weights: Union[Mapping[Any, Weight], Iterable[tuple[Any, Weight]]]):
+    def __init__(self, weights: Weights, total: int = 1):
         items = weights.items() if isinstance(weights, Mapping) else weights
-        acc: dict[Any, Fraction] = {}
-        for x, p in items:
-            p = Fraction(p)
+        pairs = [(x, p if type(p) is int else Fraction(p)) for x, p in items]
+        scale = math.lcm(*{p.denominator for _, p in pairs})
+        num: dict[Any, int] = {}
+        for x, p in pairs:
             if p < 0:
                 raise ValueError(f"negative weight {p} on {x!r}")
             if p:
-                acc[x] = acc.get(x, Fraction(0)) + p
-        if sum(acc.values()) != 1:
+                num[x] = num.get(x, 0) + p.numerator * (scale // p.denominator)
+        den = total * scale
+        if not num or sum(num.values()) != den:
             raise ValueError("weights must sum to exactly 1")
-        self._w = acc
+        g = math.gcd(den, *num.values())
+        self._num = {x: n // g for x, n in num.items()} if g > 1 else num
+        self._den = den // g
 
     @property
     def support(self) -> tuple[Any, ...]:
-        return tuple(self._w)
+        return tuple(self._num)
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    def numerators(self) -> tuple[tuple[Any, int], ...]:
+        return tuple(self._num.items())
 
     def items(self) -> tuple[tuple[Any, Fraction], ...]:
-        return tuple(self._w.items())
+        return tuple((x, Fraction(n, self._den)) for x, n in self._num.items())
 
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(self._w.values())
+        return tuple(Fraction(n, self._den) for n in self._num.values())
 
     def __call__(self, x: Any) -> Fraction:
-        return self._w.get(x, Fraction(0))
+        return Fraction(self._num.get(x, 0), self._den)
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self._w)
+        return iter(self._num)
 
     def __len__(self) -> int:
-        return len(self._w)
+        return len(self._num)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Dist) and self._w == other._w
+        return isinstance(other, Dist) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._w.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def map(self, f: Callable[[Any], Any]) -> "Dist":
         return image(self, f)
 
     def __str__(self) -> str:
-        return " + ".join(f"{p}|{element_text(x)}>" for x, p in self._w.items())
+        return " + ".join(f"{p}|{element_text(x)}>" for x, p in self.items())
 
     def __repr__(self) -> str:
         return f"<Dist {self}>"
@@ -124,7 +136,7 @@ def channel_compose(outer: Channel, inner: Channel) -> Channel:
 
 def point(x: Any) -> Dist:
     """The point mass (Dirac) distribution on ``x``."""
-    return Dist([(x, Fraction(1))])
+    return Dist([(x, 1)])
 
 
 def uniform(elements: Iterable[Any]) -> Dist:
@@ -132,8 +144,7 @@ def uniform(elements: Iterable[Any]) -> Dist:
     elems = list(elements)
     if not elems:
         raise ValueError("uniform distribution needs a nonempty set")
-    w = Fraction(1, len(elems))
-    dist = Dist((x, w) for x in elems)
+    dist = Dist(((x, 1) for x in elems), len(elems))
     if len(dist) != len(elems):
         raise ValueError("uniform distribution needs distinct elements")
     return dist
@@ -144,28 +155,26 @@ def flrn(phi: Multiset) -> Dist:
     k = phi.size
     if k == 0:
         raise ValueError("cannot learn a distribution from the empty multiset")
-    return Dist((x, Fraction(n, k)) for x, n in phi.items())
+    return Dist(phi.items(), k)
 
 
 def image(omega: Dist, f: Callable[[Any], Any]) -> Dist:
     """Push a distribution through a plain function, merging equal images."""
-    return Dist((f(x), p) for x, p in omega.items())
+    return Dist(((f(x), n) for x, n in omega._num.items()), omega._den)
 
 
 def pushforward(channel: Union[Channel, Callable[[Any], Dist]], omega: Dist) -> Dist:
     """Apply a channel in probability: sum_x omega(x) * channel(x)."""
-    pairs: list[tuple[Any, Fraction]] = []
-    for x, p in omega.items():
-        for y, q in channel(x).items():
-            pairs.append((y, p * q))
-    return Dist(pairs)
+    rows = [(n, channel(x)) for x, n in omega._num.items()]
+    scale = math.lcm(*{row._den for _, row in rows})
+    return Dist(((y, n * (scale // row._den) * m) for n, row in rows for y, m in row._num.items()),
+                omega._den * scale)
 
 
 def multiset_coefficient_distribution(ground: GroundSet, k: int) -> Dist:
     """Weight coefficient(phi) / N^k on every size-k multiset over the ground."""
-    total = len(ground) ** k
-    return Dist((phi, Fraction(coefficient(phi), total))
-                for phi in enumerate_multisets(ground, k))
+    return Dist(((phi, coefficient(phi)) for phi in enumerate_multisets(ground, k)),
+                len(ground) ** k)
 
 
 def _require_numeric(omega: Dist, what: str):
@@ -176,13 +185,12 @@ def _require_numeric(omega: Dist, what: str):
 
 def mean(omega: Dist) -> Fraction:
     _require_numeric(omega, "mean")
-    return sum((p * x for x, p in omega.items()), Fraction(0))
+    return Fraction(sum(n * x for x, n in omega._num.items()), omega._den)
 
 
 def variance(omega: Dist) -> Fraction:
     _require_numeric(omega, "variance")
-    second = sum((p * x * x for x, p in omega.items()), Fraction(0))
-    return second - mean(omega) ** 2
+    return Fraction(sum(n * x * x for x, n in omega._num.items()), omega._den) - mean(omega) ** 2
 
 
 def entropy(omega: Dist) -> float:
@@ -191,21 +199,33 @@ def entropy(omega: Dist) -> float:
     A weight whose float underflows to 0.0 is skipped: its p ln p term
     is far below half an ulp of the sum.
     """
-    return -sum(p * math.log(p) for p in map(float, omega.weights()) if p)
+    return -sum(p * math.log(p) for p in (n / omega._den for n in omega._num.values()) if p)
 
 
 def kl_divergence(omega: Dist, rho: Dist) -> float:
-    """KL(omega || rho) in nats; requires support(omega) within support(rho)."""
+    """KL(omega || rho) in nats; requires support(omega) within support(rho).
+
+    As in ``entropy``, a term whose float p underflows to 0.0 is skipped.
+    A ratio p/q beyond the float range takes its log from the integers.
+    """
     out = 0.0
-    for x, p in omega.items():
-        q = rho(x)
-        if q == 0:
+    for x, n in omega._num.items():
+        m = rho._num.get(x)
+        if m is None:
             raise ValueError(f"KL undefined: {x!r} outside the second support")
-        out += float(p) * math.log(float(p / q))
+        p = n / omega._den
+        if p:
+            a, b = n * rho._den, omega._den * m
+            try:
+                out += p * math.log(a / b)
+            except OverflowError:
+                out += p * (math.log(a) - math.log(b))
     return out
 
 
 def total_variation(omega: Dist, rho: Dist) -> Fraction:
     """Exact total variation distance (1/2) * sum |omega - rho|."""
-    elems = dict.fromkeys(list(omega) + list(rho))
-    return sum((abs(omega(x) - rho(x)) for x in elems), Fraction(0)) / 2
+    a, b = omega._den, rho._den
+    diff = sum(abs(omega._num.get(x, 0) * b - rho._num.get(x, 0) * a)
+               for x in omega._num.keys() | rho._num.keys())
+    return Fraction(diff, 2 * a * b)

@@ -11,7 +11,6 @@ exact rational computations, never tolerance-based.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -59,18 +58,21 @@ def shift(phi: Multiset) -> Dist:
     n, k = len(vec), sum(vec)
     if k == 0:
         raise ValueError("shift needs at least one particle")
-    pairs: list[tuple[Multiset, Fraction]] = [(phi, Fraction(vec[0], k))]
+    # the particles below the top level number `low`, or low + 1 after a
+    # drop from the top, so every weight is a count over k * scale
+    low = k - vec[n - 1]
+    scale = low * (low + 1) or 1
+    pairs: list[tuple[Multiset, int]] = [(phi, vec[0] * scale)]
     for d in range(1, n):
         if vec[d] == 0:
             continue
         inter = vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:]
-        movable = k - inter[n - 1]
+        per_move = vec[d] * (scale // (k - inter[n - 1]))
         for u in range(n - 1):
             if inter[u]:
                 target = inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:]
-                pairs.append((Multiset._from_vector(phi.ground, target),
-                              Fraction(vec[d] * inter[u], k * movable)))
-    return Dist(pairs)
+                pairs.append((Multiset._from_vector(phi.ground, target), per_move * inter[u]))
+    return Dist(pairs, k * scale)
 
 
 def shift_channel(n: int, k: int, i: int) -> Channel:
@@ -100,10 +102,9 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
 
     def kernel(j: int) -> Dist:
         weights = [(phi, coefficient(phi) * phi(j)) for phi in space if phi(j)]
-        total = sum(w for _, w in weights)
-        if total == 0:
+        if not weights:
             raise ValueError(f"level {j} is unattainable with size {k} and energy {i}")
-        return Dist((phi, Fraction(w, total)) for phi, w in weights)
+        return Dist(weights, sum(w for _, w in weights))
 
     return Channel(kernel)
 
@@ -145,19 +146,18 @@ def transition_matrix(n: int, k: int, i: int,
 def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multiset]:
     """Demo Monte-Carlo walk along the chain with a seeded generator.
 
-    Each successor is drawn exactly: one uniform integer below the lcm L
-    of the step's denominators walks the integer cumulative weights.
+    Each successor is drawn exactly: one uniform integer below the
+    step's denominator walks its integer cumulative numerators.
     Sampling is a demonstration feature only; every equilibrium claim in
     this module is established by exact pushforward instead.
     """
     rng = random.Random(seed)
     path = [phi0]
     for _ in range(steps):
-        items = shift(path[-1]).items()
-        scale = math.lcm(*(w.denominator for _, w in items))
-        r = rng.randrange(scale)
-        for psi, w in items:
-            r -= w.numerator * (scale // w.denominator)
+        step = shift(path[-1])
+        r = rng.randrange(step.denominator)
+        for psi, n in step.numerators():
+            r -= n
             if r < 0:
                 path.append(psi)
                 break

@@ -20,7 +20,7 @@ closes the construction.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from .distributions import Channel, Dist, flrn, pushforward
 from .multisets import (
@@ -74,19 +74,18 @@ def hypergeometric(k: int, psi: Multiset) -> Dist:
     total_size = psi.size
     if not 0 <= k <= total_size:
         raise ValueError(f"cannot draw {k} from an urn of size {total_size}")
-    denom = binom(total_size, k)
     caps = dict(psi.items())
-    return Dist((phi, Fraction(mult_binom(psi, phi), denom))
-                for phi in enumerate_multisets(psi.ground, k, caps=caps))
+    return Dist(((phi, mult_binom(psi, phi))
+                 for phi in enumerate_multisets(psi.ground, k, caps=caps)),
+                binom(total_size, k))
 
 
 def polya(k: int, psi: Multiset) -> Dist:
     """Draw-and-duplicate distribution of k draws from the urn psi."""
     if k < 0:
         raise ValueError("draw size must be a natural")
-    denom = multichoose(psi.size, k)
-    return Dist((phi, Fraction(mult_multichoose(psi, phi), denom))
-                for phi in enumerate_multisets(psi.ground, k))
+    return Dist(((phi, mult_multichoose(psi, phi)) for phi in enumerate_multisets(psi.ground, k)),
+                multichoose(psi.size, k))
 
 
 def nomial_coeff_multisets(n: int, psi: Multiset, phi: Multiset) -> int:
@@ -114,10 +113,10 @@ def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
         raise ValueError("need N >= 1 and a nonempty urn")
     if not 0 <= i <= (n - 1) * total_size:
         raise ValueError(f"total {i} out of range [0, {(n - 1) * total_size}]")
-    denom = nomial(n, total_size, i)
     caps = {x: (n - 1) * c for x, c in psi.items()}
-    return Dist((phi, Fraction(nomial_coeff_multisets(n, psi, phi), denom))
-                for phi in enumerate_multisets(psi.ground, i, caps=caps))
+    return Dist(((phi, nomial_coeff_multisets(n, psi, phi))
+                 for phi in enumerate_multisets(psi.ground, i, caps=caps)),
+                nomial(n, total_size, i))
 
 
 def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
@@ -133,7 +132,6 @@ def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
         raise ValueError("need N >= 1 and a nonempty sizes urn")
     if not 0 <= i <= (n - 1) * k:
         raise ValueError(f"total energy {i} out of range [0, {(n - 1) * k}]")
-    denom = nomial(n, k, i)
     kinds = psi.ground.labels
     sizes = [psi(x) for x in kinds]
     pairs = []
@@ -143,11 +141,8 @@ def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
             for s, e in zip(sizes, split)
         ]
         for combo in itertools.product(*component_spaces):
-            w = 1
-            for comp in combo:
-                w *= coefficient(comp)
-            pairs.append((combo, Fraction(w, denom)))
-    return Dist(pairs)
+            pairs.append((combo, math.prod(map(coefficient, combo))))
+    return Dist(pairs, nomial(n, k, i))
 
 
 def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
@@ -161,7 +156,7 @@ def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
 
 
 def _independent_product(dists: list[Dist]) -> Dist:
-    pairs = [((), Fraction(1))]
+    pairs = [((), 1)]
     for d in dists:
-        pairs = [(xs + (y,), p * q) for xs, p in pairs for y, q in d.items()]
-    return Dist(pairs)
+        pairs = [(xs + (y,), p * q) for xs, p in pairs for y, q in d.numerators()]
+    return Dist(pairs, math.prod(d.denominator for d in dists))
