@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
 from .multisets import coefficient, enumerate_multisets_with_sum, multichoose
-from .nomials import DEFAULT_BUDGET, _sequences_with_sum, nomial
+from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
 
 __all__ = [
     "boltzmann_on_multisets",
@@ -54,8 +54,9 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     no weight, so for i < N the support stays within 0..i.
     """
     _validate_config(n, k, i)
+    row = _row(n, k - 1, i)  # C_N(K-1, 0..i), one row for all weights
     js = range(max(0, i - (n - 1) * (k - 1)), min(n, i + 1))
-    return Dist(((j, nomial(n, k - 1, i - j)) for j in js), nomial(n, k, i))
+    return Dist(((j, row[i - j]) for j in js), nomial(n, k, i))
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:
@@ -75,7 +76,10 @@ def boltzmann_on_energy(e: int, k: int) -> Dist:
     """
     if e < 1 or k < 2:
         raise ValueError("energy family needs E >= 1 and K >= 2")
-    return Dist(((j, multichoose(k - 1, e - j)) for j in range(e + 1)), multichoose(k, e))
+    counts = [1]  # multichoose(K-1, t) for t = 0..E, by one running product
+    for t in range(e):
+        counts.append(counts[-1] * (k - 1 + t) // (t + 1))
+    return Dist(zip(range(e + 1), reversed(counts)), multichoose(k, e))
 
 
 def microstate_uniform(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> Dist:

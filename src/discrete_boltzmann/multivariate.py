@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import getitem
 
 from .distributions import Channel, Dist, flrn, pushforward
 from .multisets import (
@@ -33,7 +34,7 @@ from .multisets import (
     leq,
     multichoose,
 )
-from .nomials import nomial
+from .nomials import _rows, nomial
 
 __all__ = [
     "mult_binom",
@@ -114,7 +115,10 @@ def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
     if not 0 <= i <= (n - 1) * total_size:
         raise ValueError(f"total {i} out of range [0, {(n - 1) * total_size}]")
     caps = {x: (n - 1) * c for x, c in psi.items()}
-    return Dist(((phi, nomial_coeff_multisets(n, psi, phi))
+    sizes = psi.counts_vector()
+    rows = {k: row for k, row in zip(range(max(sizes) + 1), _rows(n, i)) if k in sizes}
+    label_rows = [rows[c] for c in sizes]  # C_N(psi(x), 0..i) for each label x
+    return Dist(((phi, math.prod(map(getitem, label_rows, phi.counts_vector())))
                  for phi in enumerate_multisets(psi.ground, i, caps=caps)),
                 nomial(n, total_size, i))
 

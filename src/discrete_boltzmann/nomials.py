@@ -4,14 +4,21 @@ C_N(K, i) counts the length-K sequences over {0, ..., N-1} whose entries
 sum to i.  The binomial coefficients are the N=2 column of this family,
 the trinomial and quadrinomial triangles the N=3 and N=4 columns.  The
 four routes here (direct sequence enumeration, summing multiset
-coefficients, the dense-table recursion, and the multichoose closed form
-for i < N) agree wherever their preconditions overlap; tests and the
+coefficients, the row recursion, and the multichoose closed form for
+i < N) agree wherever their preconditions overlap; tests and the
 verification sweep hold them against each other.
+
+Row K of the triangle, the coefficients of (1 + x + ... + x^(N-1))^K,
+comes from row K-1 by one sliding-window step in ``_rows``, the only
+code that computes a row.  The recursion, the polynomial expansion,
+``NomialTable``, the Vandermonde split and the callers in other modules
+that need several entries of a row all read its rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from typing import Iterator
 
 from .multisets import (
@@ -71,26 +78,16 @@ def nomial_via_multisets(n: int, k: int, i: int) -> int:
 
 
 def nomial_recursive(n: int, k: int, i: int) -> int:
-    """The collect recursion, shared through a dense (size, level) table.
+    """The collect recursion, read from row K of the sliding-window step.
 
     One sequence position at a time absorbs part of the remaining level
     total: collect(size, level) sums collect(size-1, level-j) over the
-    admissible next entries j < min(level+1, N).  The table is evaluated
-    in increasing size order (so no recursion depth limit applies) and
-    trimmed to levels <= i; impossible cells hold 0.  The table is per
-    call, so concurrent use needs no locks.
+    admissible next entries j < min(level+1, N).  Rows are built in
+    increasing size order (so no recursion depth limit applies) and cut
+    at level i, so the whole evaluation costs O(K*i) additions.
     """
     _validate(n, k, i)
-    row = [1]  # size 0 reaches exactly level 0
-    for size in range(1, k + 1):
-        width = min(i, (n - 1) * size)
-        prev = row
-        row = [0] * (width + 1)
-        for level in range(width + 1):
-            lo = max(0, level - (n - 1))
-            hi = min(level, len(prev) - 1)
-            row[level] = sum(prev[lo:hi + 1])
-    return row[i]
+    return _row(n, k, i)[i]
 
 
 def nomial_closed_form(n: int, k: int, i: int) -> int:
@@ -107,7 +104,7 @@ def nomial(n: int, k: int, i: int) -> int:
     """C_N(K, i) via the cheapest applicable route.
 
     Dispatches to the multichoose closed form when i < N, otherwise to
-    the dense-table recursion.  Never 0 for valid parameters.
+    the row recursion.  Never 0 for valid parameters.
     """
     _validate(n, k, i)
     if k >= 1 and i < n:
@@ -137,33 +134,36 @@ def nomial_prefix_sum(n: int, k: int, bound: int) -> int:
     return lhs
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for p, x in enumerate(a):
-        if x:
-            for q, y in enumerate(b):
-                out[p + q] += x * y
-    return out
+def _rows(n: int, width: int) -> Iterator[list[int]]:
+    """The rows C_N(K, 0..min(width, (N-1)K)) for K = 0, 1, ...
 
-
-def _expansion_rows(n: int) -> Iterator[list[int]]:
-    """The coefficient rows of (1 + x + ... + x^(N-1))^K for K = 0, 1, ...;
-    each row costs one convolution of the previous one."""
-    row, base = [1], [1] * n
-    while True:
+    Row K is a sliding window of N entries over row K-1: each entry adds
+    the one entering the window and subtracts the one leaving it,
+    C_N(K, i) = C_N(K, i-1) + C_N(K-1, i) - C_N(K-1, i-N), so each cell
+    costs O(1).  This is the only place that computes an N-nomial row.
+    """
+    row = [1]
+    for k in itertools.count(1):
         yield row
-        row = _convolve(row, base)
+        top = min(width, (n - 1) * k)
+        padded = row + [0] * (top + 1 - len(row))  # row K-1, zero-filled to the new width
+        row = list(itertools.accumulate(map(sub, padded, itertools.chain([0] * n, padded))))
+
+
+def _row(n: int, k: int, width: int) -> list[int]:
+    """Row K of ``_rows(n, width)``."""
+    return next(itertools.islice(_rows(n, width), k, None))
 
 
 def polynomial_expand(n: int, k: int) -> list[int]:
     """Exact integer coefficients of (1 + x + ... + x^(N-1))^K.
 
     The coefficient of x^i is C_N(K, i); this is the generating-function
-    route, computed by repeated convolution.
+    route, read as the full row K of the shared sliding-window step.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    return next(itertools.islice(_expansion_rows(n), k, None))
+    return _row(n, k, (n - 1) * k)
 
 
 def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
@@ -171,9 +171,10 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     if k1 < 0 or k2 < 0:
         raise ValueError("lengths must be naturals")
     _validate(n, k1 + k2, i)
+    rows = {k: row for k, row in zip(range(max(k1, k2) + 1), _rows(n, i)) if k in (k1, k2)}
     lo = max(0, i - (n - 1) * k2)
     hi = min((n - 1) * k1, i)
-    split = sum(nomial(n, k1, i1) * nomial(n, k2, i - i1) for i1 in range(lo, hi + 1))
+    split = sum(rows[k1][i1] * rows[k2][i - i1] for i1 in range(lo, hi + 1))
     return nomial(n, k1 + k2, i) == split
 
 
@@ -181,7 +182,7 @@ class NomialTable:
     """Cached rows C_N(K, 0..(N-1)K) for K = 0..K_max.
 
     Row K has (N-1)*K + 1 entries, is palindromic, and sums to N^K;
-    rows are built once by convolution and shared read-only afterwards.
+    rows are built once by the shared row step and read-only afterwards.
     """
 
     def __init__(self, n: int, k_max: int):
@@ -189,7 +190,7 @@ class NomialTable:
             raise ValueError("need n >= 1 and k_max >= 0")
         self._n = n
         self._k_max = k_max
-        self._rows = list(itertools.islice(_expansion_rows(n), k_max + 1))
+        self._rows = list(itertools.islice(_rows(n, (n - 1) * k_max), k_max + 1))
 
     @property
     def n(self) -> int:

@@ -1,0 +1,143 @@
+"""The one N-nomial row step, held against references that share none of it.
+
+Every multi-entry reader of the N-nomial triangle (the recursion, the
+polynomial expansion, ``NomialTable``, the numbers family, the
+Vandermonde split and the nomial draw distribution) reads rows of one
+sliding-window generator.  These tests check them at the benchmark's
+counting sizes against an inclusion-exclusion oracle, and check the row
+readers against the per-entry code they replace.
+"""
+
+import math
+import random
+
+import pytest
+
+from discrete_boltzmann import (
+    Dist,
+    GroundSet,
+    Multiset,
+    NomialTable,
+    boltzmann_on_energy,
+    boltzmann_on_numbers,
+    enumerate_multisets,
+    nomial,
+    nomial_coeff_multisets,
+    nomial_distribution,
+    nomial_recursive,
+    polynomial_expand,
+    vandermonde_check,
+)
+
+LEVELS = (1, 2, 3, 4, 5, 7, 10, 16, 23, 30)
+LENGTHS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100)
+
+
+def oracle(n: int, k: int, i: int) -> int:
+    """C_N(K, i) by inclusion-exclusion over the parts that reach N."""
+    if k == 0:
+        return int(i == 0)
+    return sum((-1) ** j * math.comb(k, j) * math.comb(i - j * n + k - 1, k - 1)
+               for j in range(min(k, i // n) + 1))
+
+
+def sums(n: int, k: int) -> list[int]:
+    """0, N-1, N, the middle and the top of row K, where they exist."""
+    top = (n - 1) * k
+    return sorted({i for i in (0, n - 1, n, top // 2, top) if i <= top})
+
+
+class TestOracleAgreement:
+    def test_oracle_matches_small_rows(self):
+        assert [oracle(3, 4, i) for i in range(9)] == [1, 4, 10, 16, 19, 16, 10, 4, 1]
+        assert [oracle(1, k, 0) for k in range(4)] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_recursion(self, n):
+        for k in LENGTHS:
+            for i in sums(n, k):
+                assert nomial_recursive(n, k, i) == oracle(n, k, i), (n, k, i)
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_expansion_rows(self, n):
+        for k in LENGTHS:
+            row = polynomial_expand(n, k)
+            assert len(row) == (n - 1) * k + 1 and sum(row) == n ** k
+            for i in sums(n, k):
+                assert row[i] == oracle(n, k, i), (n, k, i)
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_table_rows(self, n):
+        table = NomialTable(n, 100)
+        for k in range(101):
+            row = table.row(k)
+            assert len(row) == (n - 1) * k + 1 and sum(row) == n ** k
+            for i in sums(n, k):
+                assert row[i] == oracle(n, k, i), (n, k, i)
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_numbers_weights(self, n):
+        for k in LENGTHS[1:]:
+            for i in sums(n, k):
+                js = range(max(0, i - (n - 1) * (k - 1)), min(n, i + 1))
+                expected = Dist(((j, oracle(n, k - 1, i - j)) for j in js), oracle(n, k, i))
+                got = boltzmann_on_numbers(n, k, i)
+                assert got == expected and str(got) == str(expected), (n, k, i)
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_vandermonde_splits(self, n):
+        for k in LENGTHS:
+            for k1 in sorted({0, k // 3, k // 2, k}):
+                for i in sums(n, k):
+                    assert vandermonde_check(n, k1, k - k1, i) is True, (n, k1, k - k1, i)
+
+
+def random_urn(rng: random.Random) -> Multiset:
+    ground = GroundSet([f"c{j}" for j in range(rng.randint(1, 4))])
+    counts = {x: rng.randint(0, 4) for x in ground.labels}
+    counts[rng.choice(ground.labels)] += 1  # never an empty urn
+    return Multiset(ground, counts)
+
+
+def per_entry_nomial_distribution(i: int, psi: Multiset, n: int | None) -> Dist:
+    """The nomial draw distribution with one ``nomial_coeff_multisets`` per draw."""
+    n = len(psi.ground) if n is None else n
+    caps = {x: (n - 1) * c for x, c in psi.items()}
+    return Dist(((phi, nomial_coeff_multisets(n, psi, phi))
+                 for phi in enumerate_multisets(psi.ground, i, caps=caps)),
+                nomial(n, psi.size, i))
+
+
+class TestRowReaders:
+    def test_nomial_distribution_on_random_urns(self):
+        rng = random.Random(20261018)
+        cases = 0
+        for _ in range(60):
+            psi = random_urn(rng)
+            for n in (None, 1, 2, rng.randint(2, 5)):
+                top = ((len(psi.ground) if n is None else n) - 1) * psi.size
+                for i in sorted({0, rng.randint(0, top), top}):
+                    got = nomial_distribution(i, psi, n)
+                    expected = per_entry_nomial_distribution(i, psi, n)
+                    assert got == expected and str(got) == str(expected), (str(psi), n, i)
+                    cases += 1
+        assert cases > 300
+
+    def test_nomial_distribution_with_one_level_is_a_point(self):
+        psi = Multiset(GroundSet(["a", "b"]), {"a": 2, "b": 3})
+        assert nomial_distribution(0, psi, 1) == per_entry_nomial_distribution(0, psi, 1)
+        assert len(nomial_distribution(0, psi, 1)) == 1
+
+    @staticmethod
+    def per_weight_energy(e: int, k: int) -> Dist:
+        return Dist(((j, math.comb(k - 2 + e - j, e - j)) for j in range(e + 1)),
+                    math.comb(k - 1 + e, e))
+
+    def test_energy_family_against_per_weight_comb(self):
+        for e in range(1, 61):
+            for k in range(2, 13):
+                got, expected = boltzmann_on_energy(e, k), self.per_weight_energy(e, k)
+                assert got == expected and got.support == expected.support, (e, k)
+
+    def test_energy_family_at_large_size(self):
+        assert boltzmann_on_energy(2000, 1000) == self.per_weight_energy(2000, 1000)
