@@ -7,27 +7,28 @@ point of this kernel; pulling the kernel through frequentist learning
 and its Bayesian inversion gives a chain on levels with the Boltzmann
 family on numbers as fixed point.  All equilibrium checks here are
 exact rational computations, never tolerance-based.
+
+``shift`` is the one-state kernel and the one owner of the move rule.
+On a space of N levels, K particles and energy i the chain is compiled
+once into sparse integer rows: the states as count vectors in
+enumeration order, and for each state its row of ``shift`` in lowest
+terms (target indices, integer numerators, one denominator), built the
+first time it is read.  ``shift_channel`` is that compiled form.
+Iteration and the stationarity residual push an integer vector over
+one denominator through it; the matrix export fills its rows from it;
+the level chain lumps it into one N x N integer matrix (lumpability:
+Kemeny and Snell, *Finite Markov Chains*, 1960).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
-from .distributions import (
-    Channel,
-    Dist,
-    flrn,
-    pushforward,
-    total_variation,
-)
-from .multisets import (
-    Multiset,
-    coefficient,
-    enumerate_multisets_with_sum,
-    levels,
-    som,
-)
+from .distributions import Channel, Dist, pushforward, total_variation
+from .multisets import Multiset, coefficient, enumerate_multisets_with_sum, levels
 
 __all__ = [
     "shift",
@@ -42,6 +43,36 @@ __all__ = [
 
 MAX_MATRIX_STATES = 10_000
 
+# A row holds lists, not tuples: freed tuples of many lengths stay in the
+# interpreter's per-length free lists and raise the peak resident memory.
+_Row = tuple[list, list[int], int]
+
+
+def _shift_row(vec: tuple[int, ...]) -> _Row:
+    """The move rule of ``shift`` on a count vector over levels: the
+    distinct targets in the order they are first reached, their integer
+    numerators and the common denominator, in lowest terms."""
+    n, k = len(vec), sum(vec)
+    if k == 0:
+        raise ValueError("shift needs at least one particle")
+    # the particles below the top level number `low`, or low + 1 after a
+    # drop from the top, so every weight is a count over k * scale
+    low = k - vec[n - 1]
+    scale = low * (low + 1) or 1
+    row = {vec: vec[0] * scale} if vec[0] else {}
+    for d in range(1, n):
+        if vec[d] == 0:
+            continue
+        inter = vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:]
+        per_move = vec[d] * (scale // (k - inter[n - 1]))
+        for u in range(n - 1):
+            if inter[u]:
+                target = inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:]
+                row[target] = row.get(target, 0) + per_move * inter[u]
+    den = k * scale
+    g = math.gcd(den, *row.values())
+    return list(row), [m // g for m in row.values()], den // g
+
 
 def shift(phi: Multiset) -> Dist:
     """One step of the chain from configuration ``phi``.
@@ -54,44 +85,98 @@ def shift(phi: Multiset) -> Dist:
     """
     if not phi.ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
-    vec = phi.counts_vector()
-    n, k = len(vec), sum(vec)
-    if k == 0:
-        raise ValueError("shift needs at least one particle")
-    # the particles below the top level number `low`, or low + 1 after a
-    # drop from the top, so every weight is a count over k * scale
-    low = k - vec[n - 1]
-    scale = low * (low + 1) or 1
-    pairs: list[tuple[Multiset, int]] = [(phi, vec[0] * scale)]
-    for d in range(1, n):
-        if vec[d] == 0:
-            continue
-        inter = vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:]
-        per_move = vec[d] * (scale // (k - inter[n - 1]))
-        for u in range(n - 1):
-            if inter[u]:
-                target = inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:]
-                pairs.append((Multiset._from_vector(phi.ground, target), per_move * inter[u]))
-    return Dist(pairs, k * scale)
+    targets, nums, den = _shift_row(phi.counts_vector())
+    return Dist(zip((Multiset._from_vector(phi.ground, t) for t in targets), nums), den)
+
+
+class _ShiftChain:
+    """The shift chain on one (N, K, i) space as sparse integer rows.
+
+    ``states`` are the configurations in enumeration order and ``index``
+    maps each count vector to its position.  ``row(j)`` is the row of
+    ``shift`` from state j as (target indices, numerators, denominator)
+    in lowest terms, built on first use.  Calling the instance is the
+    kernel of ``shift_channel``.
+    """
+
+    __slots__ = ("ground", "space", "states", "index", "_rows")
+
+    def __init__(self, n: int, k: int, i: int):
+        self.ground = levels(n)
+        self.space = (k, i)
+        self.states = list(enumerate_multisets_with_sum(n, k, i))
+        self.index = {phi.counts_vector(): j for j, phi in enumerate(self.states)}
+        self._rows: list[_Row | None] = [None] * len(self.states)
+
+    def row(self, j: int) -> _Row:
+        row = self._rows[j]
+        if row is None:
+            targets, nums, den = _shift_row(self.states[j].counts_vector())
+            row = self._rows[j] = ([self.index[t] for t in targets], nums, den)
+        return row
+
+    def locate(self, phi) -> int:
+        """The index of ``phi``; raises unless it is a state of this space."""
+        j = None
+        if isinstance(phi, Multiset) and phi.ground == self.ground:
+            j = self.index.get(phi.counts_vector())
+        if j is None:
+            k, i = self.space
+            raise ValueError(f"{phi} is not a size-{k}, energy-{i} configuration")
+        return j
+
+    def __call__(self, phi: Multiset) -> Dist:
+        targets, nums, den = self.row(self.locate(phi))
+        return Dist(zip((self.states[t] for t in targets), nums), den)
+
+    def vector(self, omega: Dist) -> list[int]:
+        """The numerators of ``omega`` over its denominator, by state."""
+        vec = [0] * len(self.states)
+        for phi, m in omega.numerators():
+            vec[self.locate(phi)] = m
+        return vec
+
+    def push(self, vec: list[int], den: int) -> tuple[list[int], int]:
+        """One step from vec/den: a sparse integer mat-vec scaled to the
+        lcm of the live rows' denominators, then one gcd reduction."""
+        live = [(c, self.row(j)) for j, c in enumerate(vec) if c]
+        scale = math.lcm(*{d for _, (_, _, d) in live})
+        out = [0] * len(vec)
+        for c, (targets, nums, d) in live:
+            c *= scale // d
+            for t, m in zip(targets, nums):
+                out[t] += c * m
+        den *= scale
+        g = math.gcd(den, *out)
+        return ([m // g for m in out], den // g) if g > 1 else (out, den)
+
+
+def _compiled(channel) -> _ShiftChain | None:
+    """The compiled chain behind a ``shift_channel``; None for any other channel."""
+    kernel = getattr(channel, "_kernel", None)
+    return kernel if isinstance(kernel, _ShiftChain) else None
+
+
+def _vector_distance(a: list[int], a_den: int, b: list[int], b_den: int) -> Fraction:
+    """Total variation between a/a_den and b/b_den over the same states."""
+    return Fraction(sum(abs(x * b_den - y * a_den) for x, y in zip(a, b)), 2 * a_den * b_den)
 
 
 def shift_channel(n: int, k: int, i: int) -> Channel:
     """The shift kernel restricted to the configurations with size k and
-    energy i; evaluating it elsewhere raises."""
-    ground = levels(n)
-
-    def kernel(phi: Multiset) -> Dist:
-        if phi.ground != ground or phi.size != k or som(phi) != i:
-            raise ValueError(f"{phi} is not a size-{k}, energy-{i} configuration")
-        return shift(phi)
-
-    return Channel(kernel)
+    energy i, compiled once; evaluating it elsewhere raises."""
+    return Channel(_ShiftChain(n, k, i))
 
 
 def stationarity_residual(omega: Dist, channel: Channel) -> Fraction:
     """Exact total variation between one pushforward step and the input;
-    zero if and only if ``omega`` is stationary."""
-    return total_variation(pushforward(channel, omega), omega)
+    zero if and only if ``omega`` is stationary.  A ``shift_channel``
+    raises when ``omega`` has support outside its space."""
+    chain = _compiled(channel)
+    if chain is None:
+        return total_variation(pushforward(channel, omega), omega)
+    vec = chain.vector(omega)
+    return _vector_distance(*chain.push(vec, omega.denominator), vec, omega.denominator)
 
 
 def flrn_dagger(n: int, k: int, i: int) -> Channel:
@@ -110,19 +195,61 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
 
 
 def shift_on_numbers(n: int, k: int, i: int) -> Channel:
-    """The level chain flrn after shift after flrn-dagger."""
-    return flrn_dagger(n, k, i).then(shift_channel(n, k, i)).then(Channel(flrn))
+    """The level chain flrn after shift after flrn-dagger.
+
+    It is lumped once into an N x N integer matrix: row j sums, over the
+    configurations phi, coefficient(phi) * phi(j) times the level counts
+    of shift(phi), all scaled to one lcm of the row denominators.
+    """
+    chain = _ShiftChain(n, k, i)
+    vectors = [phi.counts_vector() for phi in chain.states]
+    mass = [0] * n
+    flow = [[0] * n for _ in range(n)]
+    # the one configuration without particles has no row: no level is attainable
+    rows = [chain.row(j) for j in range(len(vectors))] if k else []
+    scale = math.lcm(*{den for _, _, den in rows})
+    for phi, vec, (targets, nums, den) in zip(chain.states, vectors, rows):
+        # level counts of the successor, summed over the row's targets
+        out = [sum(map(operator.mul, nums, col)) for col in zip(*(vectors[t] for t in targets))]
+        weight = coefficient(phi)
+        for j, c in enumerate(vec):
+            if c:
+                mass[j] += weight * c
+                w = weight * c * (scale // den)
+                flow[j] = [f + w * o for f, o in zip(flow[j], out)]
+    lumped = {j: Dist(enumerate(flow[j]), mass[j] * k * scale) for j in range(n) if mass[j]}
+
+    def kernel(j: int) -> Dist:
+        dist = lumped.get(j)
+        if dist is None:
+            raise ValueError(f"level {j} is unattainable with size {k} and energy {i}")
+        return dist
+
+    return Channel(kernel)
 
 
 def iterate_chain(omega0: Dist, channel: Channel, steps: int,
                   reference: Dist) -> list[tuple[int, Fraction]]:
     """Push ``omega0`` through the chain, recording the exact total
-    variation distance to ``reference`` at every step (step 0 included)."""
-    out = [(0, total_variation(omega0, reference))]
-    current = omega0
+    variation distance to ``reference`` at every step (step 0 included).
+
+    A ``shift_channel`` iterates integer vectors over its states and
+    raises when ``omega0`` or ``reference`` has support outside them.
+    """
+    chain = _compiled(channel)
+    if chain is None:
+        out = [(0, total_variation(omega0, reference))]
+        current = omega0
+        for step in range(1, steps + 1):
+            current = pushforward(channel, current)
+            out.append((step, total_variation(current, reference)))
+        return out
+    vec, den = chain.vector(omega0), omega0.denominator
+    ref, ref_den = chain.vector(reference), reference.denominator
+    out = [(0, _vector_distance(vec, den, ref, ref_den))]
     for step in range(1, steps + 1):
-        current = pushforward(channel, current)
-        out.append((step, total_variation(current, reference)))
+        vec, den = chain.push(vec, den)
+        out.append((step, _vector_distance(vec, den, ref, ref_den)))
     return out
 
 
@@ -131,33 +258,50 @@ def transition_matrix(n: int, k: int, i: int,
     """Explicit row-stochastic matrix of the shift chain, for inspection.
 
     States follow the canonical enumeration order; row phi holds the
-    transition weights shift(phi)(psi).  Guarded to small spaces.
+    transition weights shift(phi)(psi), filled from the compiled sparse
+    rows.  Guarded to small spaces.
     """
-    states = list(enumerate_multisets_with_sum(n, k, i))
-    if len(states) > max_states:
-        raise ValueError(f"{len(states)} states exceed the matrix limit {max_states}")
+    chain = _ShiftChain(n, k, i)
+    size = len(chain.states)
+    if size > max_states:
+        raise ValueError(f"{size} states exceed the matrix limit {max_states}")
+    zero = Fraction(0)
     rows = []
-    for phi in states:
-        step = shift(phi)
-        rows.append([step(psi) for psi in states])
-    return states, rows
+    for j in range(size):
+        row = [zero] * size
+        targets, nums, den = chain.row(j)
+        for t, m in zip(targets, nums):
+            row[t] = Fraction(m, den)
+        rows.append(row)
+    return chain.states, rows
 
 
 def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multiset]:
     """Demo Monte-Carlo walk along the chain with a seeded generator.
 
     Each successor is drawn exactly: one uniform integer below the
-    step's denominator walks its integer cumulative numerators.
-    Sampling is a demonstration feature only; every equilibrium claim in
-    this module is established by exact pushforward instead.
+    step's denominator walks its integer cumulative numerators, in the
+    order of ``shift(phi).numerators()``.  Each visited configuration's
+    row is built once.  Sampling is a demonstration feature only; every
+    equilibrium claim in this module is established by exact
+    pushforward instead.
     """
+    ground = phi0.ground
+    if not ground.is_levels():
+        raise ValueError("shift needs a configuration over levels 0..N-1")
     rng = random.Random(seed)
+    rows: dict[Multiset, tuple[list[Multiset], list[int], int]] = {}
     path = [phi0]
     for _ in range(steps):
-        step = shift(path[-1])
-        r = rng.randrange(step.denominator)
-        for psi, n in step.numerators():
-            r -= n
+        phi = path[-1]
+        row = rows.get(phi)
+        if row is None:
+            targets, nums, den = _shift_row(phi.counts_vector())
+            row = rows[phi] = ([Multiset._from_vector(ground, t) for t in targets], nums, den)
+        targets, nums, den = row
+        r = rng.randrange(den)
+        for psi, m in zip(targets, nums):
+            r -= m
             if r < 0:
                 path.append(psi)
                 break

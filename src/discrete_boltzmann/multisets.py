@@ -306,21 +306,26 @@ def _bounded_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int
     tail_room = [0] * (m + 1)
     for p in range(m):
         tail_room[p + 1] = tail_room[p] + caps[p]
-    vec = [0] * m
+    return _bounded_fill([0] * m, caps, tail_room, m - 1, total)
 
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == 0:
-            if remaining <= caps[0]:
-                vec[0] = remaining
-                yield tuple(vec)
-            return
-        lo = max(0, remaining - tail_room[pos])
-        hi = min(caps[pos], remaining)
-        for c in range(lo, hi + 1):
-            vec[pos] = c
-            yield from rec(pos - 1, remaining - c)
 
-    yield from rec(m - 1, total)
+# The recursive fills are module-level functions, not closures: a nested
+# generator that calls itself sits in a reference cycle, which only the
+# cyclic garbage collector frees.
+
+def _bounded_fill(vec: list[int], caps: Sequence[int], tail_room: list[int],
+                  pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
+    """Fill vec[0..pos] with ``remaining`` under ``caps``, colex order."""
+    if pos == 0:
+        if remaining <= caps[0]:
+            vec[0] = remaining
+            yield tuple(vec)
+        return
+    lo = max(0, remaining - tail_room[pos])
+    hi = min(caps[pos], remaining)
+    for c in range(lo, hi + 1):
+        vec[pos] = c
+        yield from _bounded_fill(vec, caps, tail_room, pos - 1, remaining - c)
 
 
 def _level_sum_compositions(n: int, total: int, target: int) -> Iterator[tuple[int, ...]]:
@@ -331,23 +336,23 @@ def _level_sum_compositions(n: int, total: int, target: int) -> Iterator[tuple[i
     at levels above j, a count c at level j is feasible iff the leftover
     sum fits in the leftover slots at levels below j.
     """
-    vec = [0] * n
+    return _level_sum_fill([0] * n, n - 1, total, target)
 
-    def rec(j: int, remaining: int, weight: int) -> Iterator[tuple[int, ...]]:
-        if j == 0:
-            if weight == 0:
-                vec[0] = remaining
-                yield tuple(vec)
-            return
-        # leftover weight after taking c at level j must satisfy
-        # 0 <= weight - c*j <= (j-1)*(remaining - c)
-        lo = max(0, weight - (j - 1) * remaining)
-        hi = min(remaining, weight // j)
-        for c in range(lo, hi + 1):
-            vec[j] = c
-            yield from rec(j - 1, remaining - c, weight - c * j)
 
-    yield from rec(n - 1, total, target)
+def _level_sum_fill(vec: list[int], j: int, remaining: int, weight: int) -> Iterator[tuple[int, ...]]:
+    """Fill vec[0..j] with ``remaining`` particles of level sum ``weight``, colex order."""
+    if j == 0:
+        if weight == 0:
+            vec[0] = remaining
+            yield tuple(vec)
+        return
+    # leftover weight after taking c at level j must satisfy
+    # 0 <= weight - c*j <= (j-1)*(remaining - c)
+    lo = max(0, weight - (j - 1) * remaining)
+    hi = min(remaining, weight // j)
+    for c in range(lo, hi + 1):
+        vec[j] = c
+        yield from _level_sum_fill(vec, j - 1, remaining - c, weight - c * j)
 
 
 def enumerate_multisets(ground: GroundSet, k: int,

@@ -192,9 +192,10 @@ def _nomial_row_laws(max_levels: int, max_size: int) -> str:
                 _fail(f"row sum != N^K at N={n}, K={k}")
             if row != row[::-1]:
                 _fail(f"row not palindromic at N={n}, K={k}")
+            # held against multiset enumeration, which shares no code with the row step
             for i, value in enumerate(row):
-                if value != nomial(n, k, i):
-                    _fail(f"expansion disagrees with nomial at N={n}, K={k}, i={i}")
+                if value != nomial_via_multisets(n, k, i):
+                    _fail(f"expansion disagrees with the multiset count at N={n}, K={k}, i={i}")
     return "row length, sum, palindrome, expansion agreement"
 
 

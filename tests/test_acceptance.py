@@ -25,9 +25,11 @@ from discrete_boltzmann import (
     boltzmann_on_numbers_via_multisets,
     compare,
     enumerate_multisets,
+    enumerate_multisets_with_sum,
     flrn,
     hypergeometric,
     image,
+    iterate_chain,
     levels,
     mean,
     microstate_uniform,
@@ -49,6 +51,7 @@ from discrete_boltzmann import (
     shift_channel,
     shift_on_numbers,
     stationarity_residual,
+    transition_matrix,
     variance,
 )
 
@@ -335,3 +338,20 @@ def test_criterion_9_oracle_equivalence():
                 formula = boltzmann_on_numbers(n, k, i)
                 for pos in range(k):
                     assert projection_marginal(unif, pos) == formula
+
+
+# ---------------------------------------------------------------------------
+# 10. the compiled shift chain on spaces of hundreds to thousands of states
+# ---------------------------------------------------------------------------
+
+@_criterion(10, "30 chain steps on 1,634 states and the 663-state matrix", 3.0)
+def test_criterion_10_compiled_chain_scale():
+    space = list(enumerate_multisets_with_sum(8, 12, 40))
+    assert len(space) == 1634
+    ref = boltzmann_on_multisets(8, 12, 40)
+    trace = iterate_chain(Dist([(space[0], 1)]), shift_channel(8, 12, 40), 30, ref)
+    assert [step for step, _ in trace] == list(range(31))
+    assert all(0 < tv <= 1 for _, tv in trace)
+    states, rows = transition_matrix(8, 10, 30)
+    assert len(states) == 663
+    assert all(sum(w for w in row if w) == 1 for row in rows)
