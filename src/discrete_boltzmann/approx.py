@@ -8,7 +8,10 @@ mu = E/K:
 2. discrete exponential: normalize e^(-j/mu), using ln(1 + 1/mu) ~ 1/mu;
 3. maximum entropy: normalize s^j, with s the unique positive root of
    sum_{0<=j<=E} x^j (j - mu) = 0 from the Lagrange-multiplier
-   stationarity conditions;
+   stationarity conditions (Jaynes, Phys. Rev. 106, 1957).  For
+   mu < E/2 the root lies in (0, 1) and one Newton iteration safeguarded
+   by bisection on the bracket [0, 1] finds it; the reversal j -> E - j
+   covers mu > E/2;
 4. continuous exponential density with rate 1/mu.
 
 Floats enter the library only here and in entropy/KL.  Wherever a float
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .boltzmann import boltzmann_on_energy
-from .distributions import Dist, entropy, kl_divergence, mean, point, total_variation
+from .distributions import Dist, entropy, kl_divergence, mean, point, total_variation, uniform
 
 Rational = Union[int, Fraction]
 
@@ -98,81 +101,35 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
     return Dist(enumerate(weights), sum(weights))
 
 
-def _mean_polynomial(e: int, mu: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """The stationarity polynomial f(x) = sum x^j (j - mu) and its derivative.
-
-    The coefficient sequence j - mu has a single sign change, so f has
-    exactly one root on (0, inf) whenever 0 < mu < E.
-    """
-
-    def f(x: float) -> float:
-        acc, p = 0.0, 1.0
-        for j in range(e + 1):
-            acc += p * (j - mu)
-            p *= x
-        return acc
-
-    def fprime(x: float) -> float:
-        acc, p = 0.0, 1.0
-        for j in range(1, e + 1):
-            acc += j * p * (j - mu)
-            p *= x
-        return acc
-
-    return f, fprime
-
-
 def _solve_base(e: int, mu: float) -> float:
-    """Unique positive root of the stationarity polynomial.
+    """The root of the stationarity polynomial f(x) = sum x^j (j - mu), 0 < mu < E/2.
 
-    Brackets by geometric expansion around the seed mu/(mu+1), then
-    bisects, finishing with Newton steps kept inside the bracket.
-    Deterministic; asserts that a sign change was actually found.
+    The coefficients change sign once, so the positive root is unique,
+    and f(0) = -mu < 0 < f(1) = (E + 1)(E/2 - mu) puts it in (0, 1).
+    From the seed mu/(mu+1), each pass evaluates f and f' in one Horner
+    sweep, moves the bracket end that has the sign of f(x) to x, and
+    steps to the Newton iterate if it lies strictly inside the bracket,
+    else to the midpoint.  Every pass moves an end strictly inward, so
+    the loop ends; it stops once the step is within a few ulp of the
+    iterate (for a midpoint the step is half the bracket).
     """
-    f, fprime = _mean_polynomial(e, mu)
-    seed = mu / (mu + 1.0)
-    lo = hi = seed
-    flo = f(lo)
-    for _ in range(200):
-        if flo < 0:
-            break
-        lo /= 2.0
-        flo = f(lo)
-    else:
-        raise ArithmeticError("no sign change found below the seed")
-    fhi = f(hi)
-    for _ in range(200):
-        if fhi > 0:
-            break
-        hi *= 2.0
-        fhi = f(hi)
-    else:
-        raise ArithmeticError("no sign change found above the seed")
-    if not (f(lo) < 0 < f(hi)):
-        raise ArithmeticError("root bracketing failed")
-
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = f(x)
-        if abs(fx) < 1e-12 or hi - lo < 1e-15 * max(1.0, x):
-            return x
-        if fx < 0:
-            lo = x
-        else:
-            hi = x
-        d = fprime(x)
-        newton = x - fx / d if d else x
-        x = newton if lo < newton < hi else 0.5 * (lo + hi)
-    # Newton can creep down a steep flank without shrinking the bracket
+    lo, hi, x = 0.0, 1.0, mu / (mu + 1.0)
     while True:
-        x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) < 1e-12 or hi - lo < 1e-15 * max(1.0, x):
+        fx = dfx = 0.0
+        for j in range(e, -1, -1):
+            dfx = dfx * x + fx
+            fx = fx * x + (j - mu)
+        if fx == 0:
             return x
         if fx < 0:
             lo = x
         else:
             hi = x
+        newton = x - fx / dfx if dfx else x
+        step = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if abs(step - x) <= 4 * sys.float_info.epsilon * step:
+            return step
+        x = step
 
 
 def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
@@ -180,8 +137,10 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
 
     Returns (distribution, s) where the weights are proportional to s^j.
     Boundary means give the point masses at 0 and E (with s = 0 and
-    s = inf); interior means are solved numerically and the achieved
-    mean is checked against ``mu`` to 1e-9.
+    s = inf) and the mean E/2 the uniform distribution (s = 1).  Other
+    means are solved numerically and the achieved mean is checked
+    against ``mu`` to 1e-9; a mean closer to 0 or E than the smallest
+    positive float raises ``ValueError``.
     """
     mu = Fraction(mu)
     if e < 1 or not 0 <= mu <= e:
@@ -190,10 +149,16 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
         return point(0), 0.0
     if mu == e:
         return point(e), math.inf
-    # above E/2 the root exceeds 1 and the float bracket search can overflow;
-    # the reversal j -> E - j maps mean mu to E - mu and the base s to 1/s
-    s = 1 / _solve_base(e, float(e - mu)) if 2 * mu > e else _solve_base(e, float(mu))
-    dist = _geometric(e, *s.as_integer_ratio())
+    if 2 * mu == e:
+        return uniform(range(e + 1)), 1.0
+    # the reversal j -> E - j maps mean mu to E - mu and the base s to 1/s,
+    # so the solver only sees means below E/2, where the root lies in (0, 1)
+    low = float(min(mu, e - mu))
+    if low == 0:
+        raise ValueError(f"mean lies closer to an end of [0, {e}] than the smallest positive float")
+    t = _solve_base(e, low)
+    p, q = t.as_integer_ratio()
+    dist, s = (_geometric(e, q, p), 1 / t) if 2 * mu > e else (_geometric(e, p, q), t)
     if abs(float(mean(dist) - mu)) >= 1e-9:
         raise ArithmeticError(f"solved mean misses the target by {float(mean(dist) - mu)}")
     return dist, s

@@ -13,9 +13,10 @@ On a space of N levels, K particles and energy i the chain is compiled
 once into sparse integer rows: the states as count vectors in
 enumeration order, and for each state its row of ``shift`` in lowest
 terms (target indices, integer numerators, one denominator), built the
-first time it is read.  ``shift_channel`` is that compiled form.
-Iteration and the stationarity residual push an integer vector over
-one denominator through it; the matrix export fills its rows from it;
+first time it is read.  ``shift_channel`` is that compiled form, a
+``Channel`` in its own right.  Iteration pushes an integer vector over
+one denominator through it, and the stationarity residual is one step
+of iteration; the matrix export fills its rows from it;
 the level chain lumps it into one N x N integer matrix (lumpability:
 Kemeny and Snell, *Finite Markov Chains*, 1960).
 """
@@ -89,14 +90,14 @@ def shift(phi: Multiset) -> Dist:
     return Dist(zip((Multiset._from_vector(phi.ground, t) for t in targets), nums), den)
 
 
-class _ShiftChain:
+class _ShiftChain(Channel):
     """The shift chain on one (N, K, i) space as sparse integer rows.
 
     ``states`` are the configurations in enumeration order and ``index``
     maps each count vector to its position.  ``row(j)`` is the row of
     ``shift`` from state j as (target indices, numerators, denominator)
-    in lowest terms, built on first use.  Calling the instance is the
-    kernel of ``shift_channel``.
+    in lowest terms, built on first use.  As a ``Channel`` it is
+    ``shift_channel``: calling it gives the row of ``phi`` as a ``Dist``.
     """
 
     __slots__ = ("ground", "space", "states", "index", "_rows")
@@ -151,12 +152,6 @@ class _ShiftChain:
         return ([m // g for m in out], den // g) if g > 1 else (out, den)
 
 
-def _compiled(channel) -> _ShiftChain | None:
-    """The compiled chain behind a ``shift_channel``; None for any other channel."""
-    kernel = getattr(channel, "_kernel", None)
-    return kernel if isinstance(kernel, _ShiftChain) else None
-
-
 def _vector_distance(a: list[int], a_den: int, b: list[int], b_den: int) -> Fraction:
     """Total variation between a/a_den and b/b_den over the same states."""
     return Fraction(sum(abs(x * b_den - y * a_den) for x, y in zip(a, b)), 2 * a_den * b_den)
@@ -165,18 +160,14 @@ def _vector_distance(a: list[int], a_den: int, b: list[int], b_den: int) -> Frac
 def shift_channel(n: int, k: int, i: int) -> Channel:
     """The shift kernel restricted to the configurations with size k and
     energy i, compiled once; evaluating it elsewhere raises."""
-    return Channel(_ShiftChain(n, k, i))
+    return _ShiftChain(n, k, i)
 
 
 def stationarity_residual(omega: Dist, channel: Channel) -> Fraction:
     """Exact total variation between one pushforward step and the input;
     zero if and only if ``omega`` is stationary.  A ``shift_channel``
     raises when ``omega`` has support outside its space."""
-    chain = _compiled(channel)
-    if chain is None:
-        return total_variation(pushforward(channel, omega), omega)
-    vec = chain.vector(omega)
-    return _vector_distance(*chain.push(vec, omega.denominator), vec, omega.denominator)
+    return iterate_chain(omega, channel, 1, omega)[1][1]
 
 
 def flrn_dagger(n: int, k: int, i: int) -> Channel:
@@ -236,19 +227,18 @@ def iterate_chain(omega0: Dist, channel: Channel, steps: int,
     A ``shift_channel`` iterates integer vectors over its states and
     raises when ``omega0`` or ``reference`` has support outside them.
     """
-    chain = _compiled(channel)
-    if chain is None:
+    if not isinstance(channel, _ShiftChain):
         out = [(0, total_variation(omega0, reference))]
         current = omega0
         for step in range(1, steps + 1):
             current = pushforward(channel, current)
             out.append((step, total_variation(current, reference)))
         return out
-    vec, den = chain.vector(omega0), omega0.denominator
-    ref, ref_den = chain.vector(reference), reference.denominator
+    vec, den = channel.vector(omega0), omega0.denominator
+    ref, ref_den = channel.vector(reference), reference.denominator
     out = [(0, _vector_distance(vec, den, ref, ref_den))]
     for step in range(1, steps + 1):
-        vec, den = chain.push(vec, den)
+        vec, den = channel.push(vec, den)
         out.append((step, _vector_distance(vec, den, ref, ref_den)))
     return out
 

@@ -140,6 +140,41 @@ class TestMaxEntropy:
             assert poly(s * 0.9) < 0 < poly(s * 1.1)
             assert abs(poly(s)) < 1e-9
 
+    @pytest.mark.parametrize("e", [1, 2, 10, 2000])
+    def test_half_mean_is_exactly_uniform(self, e):
+        assert max_entropy_dist(e, F(e, 2)) == (uniform(range(e + 1)), 1.0)
+
+    @pytest.mark.parametrize("e, mu", [(2000, F(1)), (1000, F(3)), (600, F(5)), (400, F(1, 2))])
+    def test_root_converges_to_the_untruncated_base(self, e, mu):
+        # the truncation term s^(E+1) is below 1e-40 here, so the root is
+        # mu/(mu+1) to double precision
+        _, s = max_entropy_dist(e, mu)
+        limit = float(mu / (mu + 1))
+        assert abs(s - limit) <= 16 * math.ulp(limit)
+
+    def test_mean_check_holds_on_every_half_integer_mean(self):
+        for e in (10, 50, 100, 150, 200):
+            for twice in range(1, 2 * e, 2):
+                dist, _ = max_entropy_dist(e, F(twice, 2))
+                assert abs(float(mean(dist) - F(twice, 2))) < 1e-9
+
+    def test_means_above_half_are_the_exact_reversal(self):
+        for e, mu in [(10, F(7, 2)), (25, 5), (150, F(1, 100)), (400, F(1, 2))]:
+            low, s = max_entropy_dist(e, mu)
+            high, s_high = max_entropy_dist(e, e - mu)
+            assert high == Dist((e - j, w) for j, w in low.items())
+            assert s_high == 1 / s
+
+    def test_mean_beyond_float_resolution_of_an_end(self):
+        tiny = F(1, 10 ** 400)
+        for mu in (tiny, 10 - tiny):
+            with pytest.raises(ValueError, match="smallest positive float"):
+                max_entropy_dist(10, mu)
+        # the distance to E is subnormal: the base 1/s overflows a float,
+        # the exact distribution keeps its full support
+        dist, s = max_entropy_dist(10, 10 - F(1, 10 ** 310))
+        assert dist.support == tuple(range(11)) and s == math.inf
+
 
 def _tilt_to_mean(weights: list[float], mu: float) -> Dist:
     """Normalize ``weights`` and tilt by t^j so the mean hits ``mu``."""
