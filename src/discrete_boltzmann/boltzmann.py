@@ -97,4 +97,5 @@ def projection_marginal(omega: Dist, pos: int) -> Dist:
 
 def scaled_unnormalized(e: int, k: int) -> list[float]:
     """K times the energy-family weights, as decimals (occupation numbers)."""
-    return [float(k * w) for w in boltzmann_on_energy(e, k).weights()]
+    dist = boltzmann_on_energy(e, k)
+    return [k * m / dist.denominator for _, m in dist.numerators()]

@@ -215,15 +215,15 @@ def _cmd_approx_compare(args) -> int:
     names = [c.name for c in report.candidates]
     print("j,reference," + ",".join(names) + ",continuous_pdf")
     grid = max(1, args.grid)
+    columns = [(dict(d.numerators()), d.denominator)
+               for d in (report.reference, *(c.dist for c in report.candidates))]
     for step in range(args.total_energy * grid + 1):
         x = Fraction(step, grid)
         cells = [f"{float(x):.12g}"]
         if x.denominator == 1:
-            j = int(x)
-            cells.append(f"{float(report.reference(j)):.12g}")
-            cells.extend(f"{float(c.dist(j)):.12g}" for c in report.candidates)
+            cells.extend(f"{num.get(int(x), 0) / den:.12g}" for num, den in columns)
         else:
-            cells.extend([""] * (1 + len(report.candidates)))
+            cells.extend([""] * len(columns))
         cells.append(f"{pdf(float(x)):.12g}")
         print(",".join(cells))
     return 0

@@ -197,9 +197,9 @@ def entropy(omega: Dist) -> float:
     """Shannon entropy in nats: -sum p ln p (no zero weights are stored).
 
     A weight whose float underflows to 0.0 is skipped: its p ln p term
-    is far below half an ulp of the sum.
+    is far below half an ulp of the sum.  A point mass gives 0.0, not -0.0.
     """
-    return -sum(p * math.log(p) for p in (n / omega._den for n in omega._num.values()) if p)
+    return 0.0 - sum(p * math.log(p) for p in (n / omega._den for n in omega._num.values()) if p)
 
 
 def kl_divergence(omega: Dist, rho: Dist) -> float:

@@ -111,10 +111,10 @@ def dist_to_json_text(omega: Dist, **kwargs: Any) -> str:
 
 
 def dist_to_csv_rows(omega: Dist) -> list[str]:
-    rows = []
-    for x, p in omega.items():
+    rows, den = [], omega.denominator
+    for x, m in omega.numerators():
         cell = element_text(x)
         if "," in cell:
             cell = f'"{cell}"'
-        rows.append(f"{cell},{float(p):.12g}")
+        rows.append(f"{cell},{m / den:.12g}")
     return rows

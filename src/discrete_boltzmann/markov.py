@@ -16,9 +16,8 @@ terms (target indices, integer numerators, one denominator), built the
 first time it is read.  ``shift_channel`` is that compiled form, a
 ``Channel`` in its own right.  Iteration pushes an integer vector over
 one denominator through it, and the stationarity residual is one step
-of iteration; the matrix export fills its rows from it;
-the level chain lumps it into one N x N integer matrix (lumpability:
-Kemeny and Snell, *Finite Markov Chains*, 1960).
+of iteration; the matrix export fills its rows from it; and each row
+of the level chain is one push of that level's flrn-dagger prior.
 """
 
 from __future__ import annotations
@@ -188,27 +187,21 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
 def shift_on_numbers(n: int, k: int, i: int) -> Channel:
     """The level chain flrn after shift after flrn-dagger.
 
-    It is lumped once into an N x N integer matrix: row j sums, over the
-    configurations phi, coefficient(phi) * phi(j) times the level counts
-    of shift(phi), all scaled to one lcm of the row denominators.
+    Row j pushes the flrn-dagger prior coefficient(phi) * phi(j) once
+    through the compiled shift chain and reads the level counts of the
+    result over K times its denominator.
     """
     chain = _ShiftChain(n, k, i)
-    vectors = [phi.counts_vector() for phi in chain.states]
-    mass = [0] * n
-    flow = [[0] * n for _ in range(n)]
-    # the one configuration without particles has no row: no level is attainable
-    rows = [chain.row(j) for j in range(len(vectors))] if k else []
-    scale = math.lcm(*{den for _, _, den in rows})
-    for phi, vec, (targets, nums, den) in zip(chain.states, vectors, rows):
-        # level counts of the successor, summed over the row's targets
-        out = [sum(map(operator.mul, nums, col)) for col in zip(*(vectors[t] for t in targets))]
-        weight = coefficient(phi)
-        for j, c in enumerate(vec):
-            if c:
-                mass[j] += weight * c
-                w = weight * c * (scale // den)
-                flow[j] = [f + w * o for f, o in zip(flow[j], out)]
-    lumped = {j: Dist(enumerate(flow[j]), mass[j] * k * scale) for j in range(n) if mass[j]}
+    weights = [coefficient(phi) for phi in chain.states]
+    columns = list(zip(*(phi.counts_vector() for phi in chain.states)))
+    lumped = {}
+    for j, column in enumerate(columns):
+        prior = [w * c for w, c in zip(weights, column)]
+        # a level no configuration holds (every level when K = 0) has no row
+        if any(prior):
+            vec, den = chain.push(prior, sum(prior))
+            counts = [sum(map(operator.mul, vec, col)) for col in columns]
+            lumped[j] = Dist(enumerate(counts), den * k)
 
     def kernel(j: int) -> Dist:
         dist = lumped.get(j)

@@ -328,19 +328,13 @@ def _bounded_fill(vec: list[int], caps: Sequence[int], tail_room: list[int],
         yield from _bounded_fill(vec, caps, tail_room, pos - 1, remaining - c)
 
 
-def _level_sum_compositions(n: int, total: int, target: int) -> Iterator[tuple[int, ...]]:
-    """Count vectors over levels 0..n-1 with size ``total`` and weighted sum
-    ``target``, in colex order.
+def _level_sum_fill(vec: list[int], j: int, remaining: int, weight: int) -> Iterator[tuple[int, ...]]:
+    """Fill vec[0..j] with ``remaining`` particles of level sum ``weight``, colex order.
 
     Prunes on both remaining size and remaining sum: after fixing counts
     at levels above j, a count c at level j is feasible iff the leftover
     sum fits in the leftover slots at levels below j.
     """
-    return _level_sum_fill([0] * n, n - 1, total, target)
-
-
-def _level_sum_fill(vec: list[int], j: int, remaining: int, weight: int) -> Iterator[tuple[int, ...]]:
-    """Fill vec[0..j] with ``remaining`` particles of level sum ``weight``, colex order."""
     if j == 0:
         if weight == 0:
             vec[0] = remaining
@@ -382,7 +376,7 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     if not 0 <= i <= (n - 1) * k:
         raise ValueError(f"target sum {i} out of range [0, {(n - 1) * k}]")
     ground = levels(n)
-    for vec in _level_sum_compositions(n, k, i):
+    for vec in _level_sum_fill([0] * n, n - 1, k, i):
         yield Multiset._from_vector(ground, vec)
 
 

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .approx import discrete_exponential, max_entropy_dist, ratio_approx
 from .boltzmann import (
@@ -85,6 +86,15 @@ def _check(results: list[CheckResult], name: str, fn) -> None:
 
 def _fail(msg: str):
     raise AssertionError(msg)
+
+
+def _spaces(max_levels: int, max_size: int, min_size: int = 1) -> Iterator[tuple[int, int, int]]:
+    """Every (N, K, i) with N <= max_levels, min_size <= K <= max_size and
+    0 <= i <= (N - 1) * K, N outermost."""
+    for n in range(1, max_levels + 1):
+        for k in range(min_size, max_size + 1):
+            for i in range((n - 1) * k + 1):
+                yield n, k, i
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +177,15 @@ def _multichoose_prefix_identities() -> str:
 
 def _nomial_route_agreement(max_levels: int, max_size: int, budget: int) -> str:
     cases = 0
-    for n in range(1, max_levels + 1):
-        for k in range(max_size + 1):
-            for i in range((n - 1) * k + 1):
-                values = {nomial(n, k, i), nomial_via_multisets(n, k, i),
-                          nomial_recursive(n, k, i)}
-                if n ** k <= budget:
-                    values.add(nomial_enum_sequences(n, k, i, budget))
-                if k >= 1 and i < n:
-                    values.add(multichoose(k, i))
-                if len(values) != 1:
-                    _fail(f"routes disagree at N={n}, K={k}, i={i}: {values}")
-                cases += 1
+    for n, k, i in _spaces(max_levels, max_size, min_size=0):
+        values = {nomial(n, k, i), nomial_via_multisets(n, k, i), nomial_recursive(n, k, i)}
+        if n ** k <= budget:
+            values.add(nomial_enum_sequences(n, k, i, budget))
+        if k >= 1 and i < n:
+            values.add(multichoose(k, i))
+        if len(values) != 1:
+            _fail(f"routes disagree at N={n}, K={k}, i={i}: {values}")
+        cases += 1
     return f"{cases} parameter triples"
 
 
@@ -252,33 +259,27 @@ def _image_vs_point_channel(max_labels: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _boltzmann_reversal(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 1):
-        for k in range(1, min(max_size, 5) + 1):
-            for i in range((n - 1) * k + 1):
-                flipped = image(boltzmann_on_multisets(n, k, i), reverse)
-                if flipped != boltzmann_on_multisets(n, k, (n - 1) * k - i):
-                    _fail(f"multiset family unstable under reversal at ({n},{k},{i})")
-                relabeled = image(boltzmann_on_numbers(n, k, i), lambda j: n - 1 - j)
-                if relabeled != boltzmann_on_numbers(n, k, (n - 1) * k - i):
-                    _fail(f"numbers family unstable under reversal at ({n},{k},{i})")
+    for n, k, i in _spaces(max_levels, min(max_size, 5)):
+        flipped = image(boltzmann_on_multisets(n, k, i), reverse)
+        if flipped != boltzmann_on_multisets(n, k, (n - 1) * k - i):
+            _fail(f"multiset family unstable under reversal at ({n},{k},{i})")
+        relabeled = image(boltzmann_on_numbers(n, k, i), lambda j: n - 1 - j)
+        if relabeled != boltzmann_on_numbers(n, k, (n - 1) * k - i):
+            _fail(f"numbers family unstable under reversal at ({n},{k},{i})")
     return "both families stable under reversal"
 
 
 def _boltzmann_mean_law(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 2):
-        for k in range(1, max_size + 1):
-            for i in range((n - 1) * k + 1):
-                if mean(boltzmann_on_numbers(n, k, i)) != Fraction(i, k):
-                    _fail(f"mean != i/K at ({n},{k},{i})")
+    for n, k, i in _spaces(max_levels + 1, max_size):
+        if mean(boltzmann_on_numbers(n, k, i)) != Fraction(i, k):
+            _fail(f"mean != i/K at ({n},{k},{i})")
     return "mean equals i/K everywhere"
 
 
 def _boltzmann_routes(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 1):
-        for k in range(1, min(max_size, 5) + 1):
-            for i in range((n - 1) * k + 1):
-                if boltzmann_on_numbers(n, k, i) != boltzmann_on_numbers_via_multisets(n, k, i):
-                    _fail(f"number routes disagree at ({n},{k},{i})")
+    for n, k, i in _spaces(max_levels, min(max_size, 5)):
+        if boltzmann_on_numbers(n, k, i) != boltzmann_on_numbers_via_multisets(n, k, i):
+            _fail(f"number routes disagree at ({n},{k},{i})")
     return "nomial-ratio route equals learning pushforward"
 
 
@@ -308,21 +309,19 @@ def _boltzmann_support_truncation(max_levels: int, max_size: int) -> str:
 
 def _microstate_oracles(max_levels: int, max_size: int, budget: int) -> str:
     cases = 0
-    for n in range(1, max_levels + 1):
-        for k in range(1, max_size + 1):
-            if n ** k > budget:
-                continue
-            for i in range((n - 1) * k + 1):
-                unif = microstate_uniform(n, k, i, budget)
-                if len(unif) != nomial(n, k, i):
-                    _fail(f"microstate count != nomial at ({n},{k},{i})")
-                ground = levels(n)
-                if image(unif, lambda v: accumulate(v, ground)) != boltzmann_on_multisets(n, k, i):
-                    _fail(f"accumulation image misses the multiset family at ({n},{k},{i})")
-                for pos in range(k):
-                    if projection_marginal(unif, pos) != boltzmann_on_numbers(n, k, i):
-                        _fail(f"projection marginal misses the numbers family at ({n},{k},{i})")
-                cases += 1
+    for n, k, i in _spaces(max_levels, max_size):
+        if n ** k > budget:
+            continue
+        unif = microstate_uniform(n, k, i, budget)
+        if len(unif) != nomial(n, k, i):
+            _fail(f"microstate count != nomial at ({n},{k},{i})")
+        ground = levels(n)
+        if image(unif, lambda v: accumulate(v, ground)) != boltzmann_on_multisets(n, k, i):
+            _fail(f"accumulation image misses the multiset family at ({n},{k},{i})")
+        for pos in range(k):
+            if projection_marginal(unif, pos) != boltzmann_on_numbers(n, k, i):
+                _fail(f"projection marginal misses the numbers family at ({n},{k},{i})")
+        cases += 1
     return f"{cases} microstate spaces checked"
 
 
@@ -331,55 +330,45 @@ def _microstate_oracles(max_levels: int, max_size: int, budget: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _shift_conservation(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 1):
-        for k in range(1, min(max_size, 5) + 1):
-            for i in range((n - 1) * k + 1):
-                for phi in enumerate_multisets_with_sum(n, k, i):
-                    step = shift(phi)
-                    if sum(step.weights()) != 1:
-                        _fail(f"shift weights do not sum to 1 from {phi}")
-                    for target in step:
-                        if target.size != k or som(target) != i:
-                            _fail(f"shift broke conservation from {phi}")
+    for n, k, i in _spaces(max_levels, min(max_size, 5)):
+        for phi in enumerate_multisets_with_sum(n, k, i):
+            step = shift(phi)
+            if sum(step.weights()) != 1:
+                _fail(f"shift weights do not sum to 1 from {phi}")
+            for target in step:
+                if target.size != k or som(target) != i:
+                    _fail(f"shift broke conservation from {phi}")
     return "size and energy conserved, rows stochastic"
 
 
 def _shift_stationarity(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 1):
-        for k in range(1, max_size + 1):
-            for i in range((n - 1) * k + 1):
-                residual = stationarity_residual(
-                    boltzmann_on_multisets(n, k, i), shift_channel(n, k, i))
-                if residual != 0:
-                    _fail(f"multiset family not stationary at ({n},{k},{i}): {residual}")
+    for n, k, i in _spaces(max_levels, max_size):
+        residual = stationarity_residual(boltzmann_on_multisets(n, k, i), shift_channel(n, k, i))
+        if residual != 0:
+            _fail(f"multiset family not stationary at ({n},{k},{i}): {residual}")
     return "Boltzmann-on-multisets is a fixed point"
 
 
 def _numbers_chain_stationarity(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 1):
-        for k in range(1, min(max_size, 4) + 1):
-            for i in range((n - 1) * k + 1):
-                bn = boltzmann_on_numbers(n, k, i)
-                if pushforward(shift_on_numbers(n, k, i), bn) != bn:
-                    _fail(f"numbers family not stationary at ({n},{k},{i})")
+    for n, k, i in _spaces(max_levels, min(max_size, 4)):
+        bn = boltzmann_on_numbers(n, k, i)
+        if pushforward(shift_on_numbers(n, k, i), bn) != bn:
+            _fail(f"numbers family not stationary at ({n},{k},{i})")
     return "Boltzmann-on-numbers is a fixed point of the level chain"
 
 
 def _dagger_identities(max_levels: int, max_size: int) -> str:
-    for n in range(1, max_levels + 1):
-        for k in range(1, min(max_size, 4) + 1):
-            for i in range((n - 1) * k + 1):
-                dag = flrn_dagger(n, k, i)
-                bn = boltzmann_on_numbers(n, k, i)
-                if pushforward(dag, bn) != boltzmann_on_multisets(n, k, i):
-                    _fail(f"dagger pushforward misses the prior at ({n},{k},{i})")
-                for j in range(min(n, i + 1)):
-                    denom = sum(coefficient(phi) * phi(j)
-                                for phi in enumerate_multisets_with_sum(n, k, i))
-                    rest = i - j
-                    closed = k * nomial(n, k - 1, rest) if 0 <= rest <= (n - 1) * (k - 1) else 0
-                    if denom != closed:
-                        _fail(f"dagger denominator law fails at ({n},{k},{i}), j={j}")
+    for n, k, i in _spaces(max_levels, min(max_size, 4)):
+        dag = flrn_dagger(n, k, i)
+        bn = boltzmann_on_numbers(n, k, i)
+        if pushforward(dag, bn) != boltzmann_on_multisets(n, k, i):
+            _fail(f"dagger pushforward misses the prior at ({n},{k},{i})")
+        for j in range(min(n, i + 1)):
+            denom = sum(coefficient(phi) * phi(j) for phi in enumerate_multisets_with_sum(n, k, i))
+            rest = i - j
+            closed = k * nomial(n, k - 1, rest) if 0 <= rest <= (n - 1) * (k - 1) else 0
+            if denom != closed:
+                _fail(f"dagger denominator law fails at ({n},{k},{i}), j={j}")
     return "Bayesian inversion reproduces the prior; denominator law"
 
 

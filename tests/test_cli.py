@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from discrete_boltzmann import boltzmann_on_energy, boltzmann_on_multisets, levels
+from discrete_boltzmann import (
+    boltzmann_on_energy,
+    boltzmann_on_multisets,
+    compare,
+    continuous_exponential_pdf,
+    levels,
+)
 from discrete_boltzmann.cli import export_plot_data, run
 from discrete_boltzmann.ketform import parse_dist
 
@@ -155,6 +161,27 @@ class TestApproxCommand:
         assert 0.840 <= payload["max_entropy_base"] <= 0.842
         names = [c["name"] for c in payload["candidates"]]
         assert names == ["ratio", "discrete-exponential", "max-entropy"]
+
+    @pytest.mark.parametrize("energy, particles, grid", [(30, 2, 1), (120, 7, 2), (200, 50, 3)])
+    def test_compare_csv_cells_are_the_exact_weights_as_decimals(self, capsys, energy,
+                                                                   particles, grid):
+        report = compare(energy, particles)
+        pdf = continuous_exponential_pdf(report.mu)
+        dists = [report.reference] + [c.dist for c in report.candidates]
+        expected = ["j,reference," + ",".join(c.name for c in report.candidates)
+                    + ",continuous_pdf"]
+        for step in range(energy * grid + 1):
+            x = F(step, grid)
+            cells = [f"{float(x):.12g}"]
+            if x.denominator == 1:
+                cells.extend(f"{float(dist(int(x))):.12g}" for dist in dists)
+            else:
+                cells.extend([""] * len(dists))
+            cells.append(f"{pdf(float(x)):.12g}")
+            expected.append(",".join(cells))
+        assert run(["approx", "compare", "--total-energy", str(energy), "--particles",
+                    str(particles), "--grid", str(grid)]) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 class TestMultivariateCommands:

@@ -103,6 +103,20 @@ class TestLumpedLevelChain:
                         lumped(j)
         assert checked > 100
 
+    @pytest.mark.parametrize("n, k, i", [(6, 10, 25), (7, 8, 24)])
+    def test_matches_composition_route_on_larger_spaces(self, n, k, i):
+        lumped = shift_on_numbers(n, k, i)
+        route = flrn_dagger(n, k, i).then(shift_channel(n, k, i)).then(Channel(flrn))
+        for j in range(n):
+            assert lumped(j) == route(j), (n, k, i, j)
+
+    def test_no_level_is_attainable_without_particles(self):
+        for n in range(1, 6):
+            chain = shift_on_numbers(n, 0, 0)
+            for j in range(n):
+                with pytest.raises(ValueError):
+                    chain(j)
+
 
 class TestCompiledPathRejects:
     def test_iterate_start_outside_space(self):

@@ -190,6 +190,10 @@ class TestInformationMeasures:
     def test_point_entropy_zero(self):
         assert entropy(point("x")) == 0.0
 
+    def test_point_entropy_is_positive_zero(self):
+        assert math.copysign(1.0, entropy(point(3))) == 1.0
+        assert math.copysign(1.0, entropy(uniform(["x"]))) == 1.0
+
     def test_uniform_entropy(self):
         assert entropy(uniform(range(8))) == pytest.approx(math.log(8))
 
