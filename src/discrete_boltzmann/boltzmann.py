@@ -18,7 +18,7 @@ kept as its oracle.
 from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
-from .multisets import coefficient, enumerate_multisets_with_sum, multichoose
+from .multisets import coefficient, enumerate_multisets_with_sum
 from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
 
 __all__ = [
@@ -55,8 +55,8 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     """
     _validate_config(n, k, i)
     row = _row(n, k - 1, i)  # C_N(K-1, 0..i), one row for all weights
-    js = range(max(0, i - (n - 1) * (k - 1)), min(n, i + 1))
-    return Dist(((j, row[i - j]) for j in js), nomial(n, k, i))
+    lo, hi = max(0, i - (n - 1) * (k - 1)), min(n - 1, i)
+    return Dist(zip(range(lo, hi + 1), reversed(row[i - hi:i - lo + 1])), nomial(n, k, i))
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:
@@ -70,16 +70,13 @@ def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:
 def boltzmann_on_energy(e: int, k: int) -> Dist:
     """The numbers family at N = E+1 levels with total energy E.
 
-    Weight of level j is multichoose(K-1, E-j) / multichoose(K, E).
-    The domain is E >= 1, K >= 2; the formula would extend below that
-    but the extension is refused rather than silently allowed.
+    It is ``boltzmann_on_numbers(E + 1, K, E)``: level j weighs
+    multichoose(K-1, E-j) / multichoose(K, E).  The domain is E >= 1,
+    K >= 2; the extension below that is refused, not silently allowed.
     """
     if e < 1 or k < 2:
         raise ValueError("energy family needs E >= 1 and K >= 2")
-    counts = [1]  # multichoose(K-1, t) for t = 0..E, by one running product
-    for t in range(e):
-        counts.append(counts[-1] * (k - 1 + t) // (t + 1))
-    return Dist(zip(range(e + 1), reversed(counts)), multichoose(k, e))
+    return boltzmann_on_numbers(e + 1, k, e)
 
 
 def microstate_uniform(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> Dist:

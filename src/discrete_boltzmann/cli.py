@@ -152,24 +152,14 @@ def _cmd_markov_stationarity(args) -> int:
     return 0
 
 
-def _start_distribution(args, n: int, k: int, i: int) -> Dist:
-    from .multisets import enumerate_multisets_with_sum
-    space = list(enumerate_multisets_with_sum(n, k, i))
-    if args.start == "uniform":
-        return uniform(space)
-    if args.start == "first":
-        return point(space[0])
-    if args.start == "last":
-        return point(space[-1])
-    raise ValueError(f"unknown start {args.start!r}")
-
-
 def _cmd_markov_iterate(args) -> int:
     n, k, i = args.levels, args.particles, args.sum
     reference = boltzmann_on_multisets(n, k, i)
-    omega0 = _start_distribution(args, n, k, i)
-    trace = markov_mod.iterate_chain(omega0, markov_mod.shift_channel(n, k, i),
-                                     args.steps, reference)
+    chain = markov_mod.shift_channel(n, k, i)
+    states = chain.states  # the enumeration order
+    omega0 = (uniform(states) if args.start == "uniform"
+              else point(states[0] if args.start == "first" else states[-1]))
+    trace = markov_mod.iterate_chain(omega0, chain, args.steps, reference)
     print("step,tv_distance")
     for step, residual in trace:
         print(f"{step},{float(residual):.12g}")
@@ -380,7 +370,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.command_echo = ["dboltz", *argv]
+    # print exact integers in full (the digit limit reads 0 before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -388,6 +382,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

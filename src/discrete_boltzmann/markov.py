@@ -264,28 +264,27 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
 
     Each successor is drawn exactly: one uniform integer below the
     step's denominator walks its integer cumulative numerators, in the
-    order of ``shift(phi).numerators()``.  Each visited configuration's
-    row is built once.  Sampling is a demonstration feature only; every
-    equilibrium claim in this module is established by exact
-    pushforward instead.
+    order of ``shift(phi).numerators()``.  It walks count vectors, one
+    row per visited vector, and builds configurations only for the path
+    it returns.  Sampling is a demonstration feature only; every
+    equilibrium claim here is established by exact pushforward instead.
     """
     ground = phi0.ground
     if not ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
     rng = random.Random(seed)
-    rows: dict[Multiset, tuple[list[Multiset], list[int], int]] = {}
-    path = [phi0]
+    rows: dict[tuple[int, ...], _Row] = {}
+    vecs = [phi0.counts_vector()]
     for _ in range(steps):
-        phi = path[-1]
-        row = rows.get(phi)
+        vec = vecs[-1]
+        row = rows.get(vec)
         if row is None:
-            targets, nums, den = _shift_row(phi.counts_vector())
-            row = rows[phi] = ([Multiset._from_vector(ground, t) for t in targets], nums, den)
+            row = rows[vec] = _shift_row(vec)
         targets, nums, den = row
         r = rng.randrange(den)
-        for psi, m in zip(targets, nums):
+        for target, m in zip(targets, nums):
             r -= m
             if r < 0:
-                path.append(psi)
+                vecs.append(target)
                 break
-    return path
+    return [phi0] + [Multiset._from_vector(ground, v) for v in vecs[1:]]

@@ -299,16 +299,6 @@ def leq(phi: Multiset, psi: Multiset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bounded_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Vectors (c_0..c_{m-1}) with sum ``total`` and c_p <= caps[p], colex order."""
-    m = len(caps)
-    # tail_room[p] = caps[0] + ... + caps[p-1], the most the positions below p can hold
-    tail_room = [0] * (m + 1)
-    for p in range(m):
-        tail_room[p + 1] = tail_room[p] + caps[p]
-    return _bounded_fill([0] * m, caps, tail_room, m - 1, total)
-
-
 # The recursive fills are module-level functions, not closures: a nested
 # generator that calls itself sits in a reference cycle, which only the
 # cyclic garbage collector frees.
@@ -359,8 +349,13 @@ def enumerate_multisets(ground: GroundSet, k: int,
     """
     if k < 0:
         raise ValueError("size must be a natural")
-    cap_vec = [k] * len(ground) if caps is None else [min(k, caps.get(x, 0)) for x in ground]
-    for vec in _bounded_compositions(k, cap_vec):
+    m = len(ground)
+    cap_vec = [k] * m if caps is None else [min(k, caps.get(x, 0)) for x in ground]
+    # tail_room[p] = cap_vec[0] + ... + cap_vec[p-1], the most the positions below p can hold
+    tail_room = [0] * (m + 1)
+    for p in range(m):
+        tail_room[p + 1] = tail_room[p] + cap_vec[p]
+    for vec in _bounded_fill([0] * m, cap_vec, tail_room, m - 1, k):
         yield Multiset._from_vector(ground, vec)
 
 

@@ -26,7 +26,6 @@ from operator import getitem
 from .distributions import Channel, Dist, flrn, pushforward
 from .multisets import (
     Multiset,
-    _bounded_compositions,
     binom,
     coefficient,
     enumerate_multisets,
@@ -136,13 +135,13 @@ def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
         raise ValueError("need N >= 1 and a nonempty sizes urn")
     if not 0 <= i <= (n - 1) * k:
         raise ValueError(f"total energy {i} out of range [0, {(n - 1) * k}]")
-    kinds = psi.ground.labels
-    sizes = [psi(x) for x in kinds]
+    sizes = psi.counts_vector()
+    caps = {x: (n - 1) * c for x, c in psi.items()}
     pairs = []
-    for split in _bounded_compositions(i, [(n - 1) * s for s in sizes]):
+    for split in enumerate_multisets(psi.ground, i, caps=caps):
         component_spaces = [
             list(enumerate_multisets_with_sum(n, s, e))
-            for s, e in zip(sizes, split)
+            for s, e in zip(sizes, split.counts_vector())
         ]
         for combo in itertools.product(*component_spaces):
             pairs.append((combo, math.prod(map(coefficient, combo))))

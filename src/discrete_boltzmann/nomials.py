@@ -9,10 +9,10 @@ i < N) agree wherever their preconditions overlap; tests and the
 verification sweep hold them against each other.
 
 Row K of the triangle, the coefficients of (1 + x + ... + x^(N-1))^K,
-comes from row K-1 by one sliding-window step in ``_rows``, the only
-code that computes a row.  The recursion, the polynomial expansion,
-``NomialTable``, the Vandermonde split and the callers in other modules
-that need several entries of a row all read its rows.
+comes from row K-1 by the sliding-window step ``_rows`` at or above N;
+below N, ``_row`` returns the closed-form row multichoose(K, 0..width).
+The recursion, the polynomial expansion, ``NomialTable``, the Vandermonde
+split and the callers in other modules that need a row read these rows.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ def nomial_recursive(n: int, k: int, i: int) -> int:
     total: collect(size, level) sums collect(size-1, level-j) over the
     admissible next entries j < min(level+1, N).  Rows are built in
     increasing size order (so no recursion depth limit applies) and cut
-    at level i, so the whole evaluation costs O(K*i) additions.
+    at level i, so the whole evaluation costs O(K*i) additions.  It
+    reads the window at every i, never ``_row``'s closed form below N.
     """
     _validate(n, k, i)
-    return _row(n, k, i)[i]
+    return next(itertools.islice(_rows(n, i), k, None))[i]
 
 
 def nomial_closed_form(n: int, k: int, i: int) -> int:
@@ -140,7 +141,8 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
     Row K is a sliding window of N entries over row K-1: each entry adds
     the one entering the window and subtracts the one leaving it,
     C_N(K, i) = C_N(K, i-1) + C_N(K-1, i) - C_N(K-1, i-N), so each cell
-    costs O(1).  This is the only place that computes an N-nomial row.
+    costs O(1).  It computes every row at or above N; below N, ``_row``
+    returns the closed-form row instead.
     """
     row = [1]
     for k in itertools.count(1):
@@ -151,8 +153,14 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
 
 
 def _row(n: int, k: int, width: int) -> list[int]:
-    """Row K of ``_rows(n, width)``."""
-    return next(itertools.islice(_rows(n, width), k, None))
+    """Row K of ``_rows(n, width)``; below N (width < N) the closed-form
+    row multichoose(K, 0..min(width, (N-1)K)), by one running product."""
+    if width >= n:
+        return next(itertools.islice(_rows(n, width), k, None))
+    row = [1]
+    for t in range(min(width, (n - 1) * k)):
+        row.append(row[-1] * (k + t) // (t + 1))
+    return row
 
 
 def polynomial_expand(n: int, k: int) -> list[int]:

@@ -355,3 +355,15 @@ def test_criterion_10_compiled_chain_scale():
     states, rows = transition_matrix(8, 10, 30)
     assert len(states) == 663
     assert all(sum(w for w in row if w) == 1 for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# 11. the numbers family below N at a large size
+# ---------------------------------------------------------------------------
+
+@_criterion(11, "numbers family at (2001, 1000, 2000), below N", 0.1)
+def test_criterion_11_numbers_family_below_n():
+    dist = boltzmann_on_numbers(2001, 1000, 2000)
+    assert len(dist) == 2001
+    assert dist(0) == F(math.comb(2998, 2000), math.comb(2999, 2000))
+    assert dist(2000) == F(1, math.comb(2999, 2000))

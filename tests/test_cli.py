@@ -1,4 +1,7 @@
 import json
+import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,6 +46,17 @@ class TestNomialCommands:
         assert code == 0
         assert lines == ["1", "1,1,1", "1,2,3,2,1", "1,3,6,7,6,3,1",
                          "1,4,10,16,19,16,10,4,1"]
+
+    def test_value_beyond_the_int_to_str_digit_limit(self, capsys):
+        # C(17999, 9000) has 5,417 digits, past the interpreter's default
+        # limit of 4,300; the limit is lifted for the command and restored
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        before = get_limit()
+        code, lines = run_lines(capsys, "nomial", "value", "--levels", "9001",
+                                "--length", "9000", "--sum", "9000")
+        assert get_limit() == before
+        assert code == 0 and len(lines) == 1 and len(lines[0]) == 5417
+        assert Decimal(lines[0]) == Decimal(math.comb(17999, 9000))
 
     def test_check(self, capsys):
         code, lines = run_lines(capsys, "nomial", "check", "--max-levels", "3",

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +15,10 @@ from discrete_boltzmann import (
     boltzmann_multi_on_levels,
     boltzmann_on_multisets,
     boltzmann_on_numbers,
+    coefficient,
     empty,
     enumerate_multisets,
+    enumerate_multisets_with_sum,
     flrn,
     hypergeometric,
     image,
@@ -235,6 +239,36 @@ class TestBoltzmannMulti:
         single = parse_multiset("4|z>")
         marg = image(boltzmann_multi_on_levels(4, single, 3), lambda t: t[0])
         assert marg == boltzmann_on_numbers(4, 4, 3)
+
+    @staticmethod
+    def brute_force(n, psi, i):
+        """Every energy split in colex order, each with the product of its
+        per-kind configuration spaces, weighted by the coefficient product."""
+        sizes = psi.counts_vector()
+        pairs = []
+        for reversed_split in itertools.product(*(range((n - 1) * s + 1) for s in sizes[::-1])):
+            if sum(reversed_split) != i:
+                continue
+            spaces = [list(enumerate_multisets_with_sum(n, s, e))
+                      for s, e in zip(sizes, reversed_split[::-1])]
+            pairs += [(combo, math.prod(map(coefficient, combo)))
+                      for combo in itertools.product(*spaces)]
+        return Dist(pairs, sum(w for _, w in pairs))
+
+    @pytest.mark.parametrize("n, counts", [
+        (3, {"a": 2, "b": 3}),
+        (4, {"a": 2, "b": 0, "c": 1}),
+        (3, {"a": 0, "b": 2, "c": 0, "d": 1}),
+        (1, {"a": 2, "b": 1}),
+        (1, {"a": 0, "b": 3}),
+        (2, {"a": 1, "b": 1, "c": 1}),
+        (5, {"z": 3}),
+    ])
+    def test_against_brute_force(self, n, counts):
+        psi = Multiset(GroundSet(list(counts)), counts)
+        for i in range((n - 1) * psi.size + 1):
+            got, expected = boltzmann_multi(n, psi, i), self.brute_force(n, psi, i)
+            assert got == expected and got.support == expected.support, (n, counts, i)
 
     def test_levels_requires_occupied_kinds(self):
         ground = GroundSet("ab")

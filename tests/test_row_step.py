@@ -8,6 +8,7 @@ counting sizes against an inclusion-exclusion oracle, and check the row
 readers against the per-entry code they replace.
 """
 
+import itertools
 import math
 import random
 
@@ -28,6 +29,7 @@ from discrete_boltzmann import (
     polynomial_expand,
     vandermonde_check,
 )
+from discrete_boltzmann.nomials import _row, _rows
 
 LEVELS = (1, 2, 3, 4, 5, 7, 10, 16, 23, 30)
 LENGTHS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100)
@@ -141,3 +143,24 @@ class TestRowReaders:
 
     def test_energy_family_at_large_size(self):
         assert boltzmann_on_energy(2000, 1000) == self.per_weight_energy(2000, 1000)
+
+
+class TestClosedFormRow:
+    def test_row_below_n_equals_the_window(self):
+        for n in range(1, 13):
+            for k in range(31):
+                for w in range(n):
+                    window = next(itertools.islice(_rows(n, w), k, None))
+                    assert _row(n, k, w) == window, (n, k, w)
+
+    @staticmethod
+    def per_weight_numbers(n: int, k: int, i: int) -> Dist:
+        """The numbers family for i < N, one ``math.comb`` per weight."""
+        assert i < n and (n - 1) * (k - 1) >= i
+        return Dist(((j, math.comb(k - 2 + i - j, i - j)) for j in range(i + 1)),
+                    math.comb(k - 1 + i, i))
+
+    @pytest.mark.parametrize("n, k, i", [(2001, 1000, 2000), (501, 3, 500)])
+    def test_numbers_family_below_n_at_large_size(self, n, k, i):
+        got, expected = boltzmann_on_numbers(n, k, i), self.per_weight_numbers(n, k, i)
+        assert got == expected and got.support == expected.support
