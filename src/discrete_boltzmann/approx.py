@@ -10,14 +10,18 @@ mu = E/K:
    sum_{0<=j<=E} x^j (j - mu) = 0 from the Lagrange-multiplier
    stationarity conditions (Jaynes, Phys. Rev. 106, 1957).  For
    mu < E/2 the root lies in (0, 1) and one Newton iteration safeguarded
-   by bisection on the bracket [0, 1] finds it; the reversal j -> E - j
-   covers mu > E/2;
+   by bisection on the bracket [0, 1] finds it as a float; the reversal
+   j -> E - j covers mu > E/2.  The exact weights are (p/q)^j for the
+   first continued-fraction convergent p/q of the float root whose law
+   meets the mean check, so the denominator follows from the check, not
+   from the float's 53-bit mantissa; a mean so near 0 or E that the
+   weights would pass the ``MAX_LIFT_BITS`` budget raises instead;
 4. continuous exponential density with rate 1/mu.
 
 Floats enter the library only here and in entropy/KL.  Wherever a float
-weight feeds a distribution it is converted exactly to a rational first
-and normalized in exact arithmetic, so every returned ``Dist`` still
-sums to exactly 1.
+weight feeds a distribution it is turned into a rational first (exactly,
+or for the max-entropy base as one of its convergents) and normalized in
+exact arithmetic, so every returned ``Dist`` still sums to exactly 1.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .boltzmann import boltzmann_on_energy
 from .distributions import Dist, entropy, kl_divergence, mean, point, total_variation, uniform
@@ -132,15 +136,51 @@ def _solve_base(e: int, mu: float) -> float:
         x = step
 
 
+def _convergents(n: int, d: int) -> Iterator[tuple[int, int]]:
+    """The continued-fraction convergents p/q of n/d > 0 in order; the last is n/d in lowest terms."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        a, n, d = n // d, d, n % d
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+
+
+def _geometric_mean(e: int, a: int, b: int) -> tuple[int, int]:
+    """The mean of the weights a^j b^(E-j) on 0..E as an unreduced (numerator, denominator > 0).
+
+    For a != b the geometric sums give a/(b-a) - (E+1) a^(E+1) / (b^(E+1) - a^(E+1)),
+    so the mean costs two powers and builds no weight.
+    """
+    if a == b:
+        return e, 2
+    top, bottom = a ** (e + 1), b ** (e + 1)
+    return a * (bottom - top) - (e + 1) * top * (b - a), (b - a) * (bottom - top)
+
+
+def _check_weight_bits(e: int, low: Fraction, log2_q: float) -> None:
+    """Refuse E + 1 weights of up to E * log2(q) bits each past ``MAX_LIFT_BITS``.
+
+    The message names the mean by its float distance ``low`` to the nearer
+    end: the exact mean may have more digits than ``str`` will convert.
+    """
+    bits = e * (e + 1) * log2_q
+    if bits > MAX_LIFT_BITS:
+        raise ValueError(f"max_entropy_dist at E = {e} with a mean {float(low):.3g} from an end "
+                         f"would hold about {bits:.3g} bits of exact weights, over {MAX_LIFT_BITS} bits")
+
+
 def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
     """The entropy-maximizing distribution on 0..E with mean ``mu``.
 
-    Returns (distribution, s) where the weights are proportional to s^j.
-    Boundary means give the point masses at 0 and E (with s = 0 and
-    s = inf) and the mean E/2 the uniform distribution (s = 1).  Other
-    means are solved numerically and the achieved mean is checked
-    against ``mu`` to 1e-9; a mean closer to 0 or E than the smallest
-    positive float raises ``ValueError``.
+    Returns (distribution, s) where s is the solved float root (1/root
+    for a mean above E/2) and the weights are proportional to (p/q)^j
+    for the first continued-fraction convergent p/q (p >= 1) of the root
+    whose law has its mean within 1e-9 of ``mu``; the last convergent is
+    the root itself.  Boundary means give the point masses at 0 and E
+    (with s = 0 and s = inf) and the mean E/2 the uniform distribution
+    (s = 1).  A mean closer to 0 or E than the smallest positive float,
+    or so close that the exact weights would exceed ``MAX_LIFT_BITS``
+    bits, raises ``ValueError``.
     """
     mu = Fraction(mu)
     if e < 1 or not 0 <= mu <= e:
@@ -153,11 +193,19 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
         return uniform(range(e + 1)), 1.0
     # the reversal j -> E - j maps mean mu to E - mu and the base s to 1/s,
     # so the solver only sees means below E/2, where the root lies in (0, 1)
-    low = float(min(mu, e - mu))
-    if low == 0:
+    low = min(mu, e - mu)
+    if float(low) == 0:
         raise ValueError(f"mean lies closer to an end of [0, {e}] than the smallest positive float")
-    t = _solve_base(e, low)
-    p, q = t.as_integer_ratio()
+    t = _solve_base(e, float(low))
+    # every convergent p/q of t has q of about 1/t or more
+    _check_weight_bits(e, low, -math.log2(t))
+    for p, q in _convergents(*t.as_integer_ratio()):
+        if p:
+            num, den = _geometric_mean(e, p, q)
+            # the exact difference to the target, rounded once as float(mean(dist) - mu) is
+            if abs((num * low.denominator - low.numerator * den) / (den * low.denominator)) < 1e-9:
+                break
+    _check_weight_bits(e, low, math.log2(q))
     dist, s = (_geometric(e, q, p), 1 / t) if 2 * mu > e else (_geometric(e, p, q), t)
     if abs(float(mean(dist) - mu)) >= 1e-9:
         raise ArithmeticError(f"solved mean misses the target by {float(mean(dist) - mu)}")

@@ -18,6 +18,7 @@ from discrete_boltzmann import (
     ratio_approx,
     uniform,
 )
+from discrete_boltzmann.approx import _convergents, _geometric, _geometric_mean, _solve_base
 
 F = Fraction
 
@@ -197,6 +198,71 @@ def _tilt_to_mean(weights: list[float], mu: float) -> Dist:
     scaled = [Fraction(w * t ** j) for j, w in enumerate(weights)]
     total = sum(scaled)
     return Dist(enumerate(w / total for w in scaled))
+
+
+class TestConvergentRounding:
+    """The max-entropy weights use the first convergent of the root that meets the mean check."""
+
+    @staticmethod
+    def _chosen_and_earlier(e, mu):
+        """The chosen base p/q and the convergents (p >= 1) of the root before it."""
+        dist, _ = max_entropy_dist(e, mu)
+        base = dist(1) / dist(0) if 2 * mu < e else dist(e - 1) / dist(e)
+        root = _solve_base(e, float(min(mu, e - mu)))
+        steps = [c for c in _convergents(*root.as_integer_ratio()) if c[0]]
+        chosen = (base.numerator, base.denominator)
+        assert chosen in steps
+        return dist, chosen, steps[:steps.index(chosen)]
+
+    @pytest.mark.parametrize("e, mu", [(25, F(5)), (25, F(20)), (110, F(4)), (200, F(199, 2)),
+                                       (2000, F(2)), (40, F(33, 4)), (150, F(14999, 100)),
+                                       (100, F(101, 2))])
+    def test_the_convergent_before_the_chosen_one_fails_the_mean_check(self, e, mu):
+        dist, chosen, earlier = self._chosen_and_earlier(e, mu)
+        assert earlier
+        p, q = earlier[-1]
+        before = _geometric(e, p, q) if 2 * mu < e else _geometric(e, q, p)
+        assert abs(float(mean(before) - mu)) >= 1e-9
+        assert abs(float(mean(dist) - mu)) < 1e-9
+
+    def test_first_convergent_is_taken_when_it_passes(self):
+        _, chosen, earlier = self._chosen_and_earlier(400, F(1, 2))
+        assert chosen == (1, 3) and earlier == []
+
+    def test_denominator_at_2000_2(self):
+        dist, _ = max_entropy_dist(2000, 2)
+        assert dist.denominator.bit_length() <= 4000
+
+    def test_denominator_on_every_half_integer_mean_at_200(self):
+        for twice in range(1, 400, 2):
+            dist, _ = max_entropy_dist(200, F(twice, 2))
+            assert dist.denominator.bit_length() <= 32 * 200
+
+    def test_closed_form_mean_is_the_exact_mean(self):
+        for e in range(1, 7):
+            for a in range(0, 5):
+                for b in range(1, 5):
+                    num, den = _geometric_mean(e, a, b)
+                    assert den > 0
+                    assert F(num, den) == mean(_geometric(e, a, b))
+
+    def test_convergents_end_at_the_fraction(self):
+        for n, d in [(1, 3), (415, 93), (7, 1), *(x.as_integer_ratio() for x in (0.1, math.pi))]:
+            steps = list(_convergents(n, d))
+            assert F(*steps[-1]) == F(n, d) and math.gcd(*steps[-1]) == 1
+            errors = [abs(F(p, q) - F(n, d)) for p, q in steps]
+            assert errors == sorted(errors, reverse=True)
+
+    @pytest.mark.parametrize("e, mu", [(400, F(1, 10 ** 300)), (2000, F(1, 10 ** 300)),
+                                       (400, 400 - F(1, 10 ** 300)),
+                                       (400, F(1, 10 ** 300) + F(1, 10 ** 5000))])
+    def test_near_end_mean_past_the_bit_budget_raises(self, e, mu):
+        with pytest.raises(ValueError, match="bits"):
+            max_entropy_dist(e, mu)
+
+    def test_near_end_mean_within_the_bit_budget_keeps_full_support(self):
+        dist, s = max_entropy_dist(200, F(1, 10 ** 300))
+        assert dist.support == tuple(range(201)) and 0 < s < 1e-299
 
 
 class TestContinuousPdf:

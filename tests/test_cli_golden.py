@@ -9,14 +9,18 @@ import pytest
 
 from discrete_boltzmann.cli import run
 
+# Each case carries its own pytest id, so adding a case never renames the
+# id of one already pinned.
 GOLDEN = [
     (
+        "nomial-value",
         ["nomial", "value", "--levels", "4", "--length", "4", "--sum", "3", "--route", "recursive"],
         [
             "20",
         ],
     ),
     (
+        "nomial-table",
         ["nomial", "table", "--levels", "3", "--max-length", "3"],
         [
             "1",
@@ -26,24 +30,28 @@ GOLDEN = [
         ],
     ),
     (
+        "nomial-check",
         ["nomial", "check", "--max-levels", "3", "--max-length", "3"],
         [
             "PASS nomial route agreement (N <= 3, K <= 3)",
         ],
     ),
     (
+        "boltzmann-energy0",
         ["boltzmann", "energy", "--total-energy", "3", "--particles", "4"],
         [
             "1/2|0> + 3/10|1> + 3/20|2> + 1/20|3>",
         ],
     ),
     (
+        "boltzmann-energy1",
         ["boltzmann", "energy", "--total-energy", "3", "--particles", "4", "--scaled"],
         [
             "2,1.2,0.6,0.2",
         ],
     ),
     (
+        "boltzmann-numbers0",
         ["boltzmann", "numbers", "--levels", "3", "--particles", "3", "--sum", "3", "--format", "csv"],
         [
             "element,probability",
@@ -53,18 +61,21 @@ GOLDEN = [
         ],
     ),
     (
+        "boltzmann-numbers1",
         ["boltzmann", "numbers", "--levels", "3", "--particles", "3", "--sum", "2", "--route", "flrn", "--format", "json"],
         [
             '{"command": "dboltz boltzmann numbers --levels 3 --particles 3 --sum 2 --route flrn --format json", "format": "json", "payload": [{"element": 0, "numerator": 1, "denominator": 2, "probability": 0.5}, {"element": 1, "numerator": 1, "denominator": 3, "probability": 0.3333333333333333}, {"element": 2, "numerator": 1, "denominator": 6, "probability": 0.16666666666666666}], "floats_are_approximate": true}',
         ],
     ),
     (
+        "boltzmann-multisets0",
         ["boltzmann", "multisets", "--levels", "3", "--particles", "3", "--sum", "3"],
         [
             "1/7|3|1>> + 6/7|1|0> + 1|1> + 1|2>>",
         ],
     ),
     (
+        "boltzmann-multisets1",
         ["boltzmann", "multisets", "--levels", "3", "--particles", "2", "--sum", "2", "--format", "csv"],
         [
             "element,probability",
@@ -73,18 +84,21 @@ GOLDEN = [
         ],
     ),
     (
+        "boltzmann-multisets2",
         ["boltzmann", "multisets", "--levels", "3", "--particles", "2", "--sum", "2", "--format", "json"],
         [
             '{"command": "dboltz boltzmann multisets --levels 3 --particles 2 --sum 2 --format json", "format": "json", "payload": [{"element": "2|1>", "numerator": 1, "denominator": 3, "probability": 0.3333333333333333}, {"element": "1|0> + 1|2>", "numerator": 2, "denominator": 3, "probability": 0.6666666666666666}], "floats_are_approximate": true}',
         ],
     ),
     (
+        "markov-stationarity",
         ["markov", "stationarity", "--levels", "3", "--particles", "3", "--sum", "3"],
         [
             "0",
         ],
     ),
     (
+        "markov-iterate",
         ["markov", "iterate", "--levels", "3", "--particles", "3", "--sum", "3", "--steps", "3", "--start", "first"],
         [
             "step,tv_distance",
@@ -95,6 +109,29 @@ GOLDEN = [
         ],
     ),
     (
+        "markov-iterate-last",
+        ["markov", "iterate", "--levels", "3", "--particles", "3", "--sum", "3", "--steps", "3", "--start", "last"],
+        [
+            "step,tv_distance",
+            "0,0.142857142857",
+            "1,0.031746031746",
+            "2,0.00705467372134",
+            "3,0.00156770527141",
+        ],
+    ),
+    (
+        "markov-iterate-uniform",
+        ["markov", "iterate", "--levels", "3", "--particles", "3", "--sum", "3", "--steps", "3", "--start", "uniform"],
+        [
+            "step,tv_distance",
+            "0,0.357142857143",
+            "1,0.0793650793651",
+            "2,0.0176366843034",
+            "3,0.00391926317852",
+        ],
+    ),
+    (
+        "markov-matrix",
         ["markov", "matrix", "--levels", "3", "--particles", "2", "--sum", "2"],
         [
             'state,"2|1>","1|0> + 1|2>"',
@@ -103,12 +140,14 @@ GOLDEN = [
         ],
     ),
     (
+        "multivariate-hypergeometric",
         ["multivariate", "hypergeometric", "--urn", "1|a> + 2|b>", "--draw", "2"],
         [
             "2/3|1|a> + 1|b>> + 1/3|2|b>>",
         ],
     ),
     (
+        "multivariate-polya",
         ["multivariate", "polya", "--urn", "1|a> + 1|b>", "--draw", "2", "--format", "csv"],
         [
             "element,probability",
@@ -118,18 +157,21 @@ GOLDEN = [
         ],
     ),
     (
+        "multivariate-nomial-dist",
         ["multivariate", "nomial-dist", "--urn", "1|a> + 1|b>", "--draw", "2", "--format", "json"],
         [
             '{"command": "dboltz multivariate nomial-dist --urn 1|a> + 1|b> --draw 2 --format json", "format": "json", "payload": [{"element": "1|a> + 1|b>", "numerator": 1, "denominator": 1, "probability": 1.0}], "floats_are_approximate": true}',
         ],
     ),
     (
+        "multivariate-boltzmann-multi0",
         ["multivariate", "boltzmann-multi", "--urn", "1|a> + 1|b>", "--levels", "2", "--sum", "1"],
         [
             "1/2|1|1>, 1|0>> + 1/2|1|0>, 1|1>>",
         ],
     ),
     (
+        "multivariate-boltzmann-multi1",
         ["multivariate", "boltzmann-multi", "--urn", "1|a> + 1|b>", "--levels", "2", "--sum", "1", "--format", "csv"],
         [
             "element,probability",
@@ -138,12 +180,14 @@ GOLDEN = [
         ],
     ),
     (
+        "multivariate-boltzmann-multi2",
         ["multivariate", "boltzmann-multi", "--urn", "1|a> + 1|b>", "--levels", "2", "--sum", "1", "--on-levels"],
         [
             "1/2|1, 0> + 1/2|0, 1>",
         ],
     ),
     (
+        "verify-all",
         ["verify", "all", "--max-levels", "2", "--max-size", "2", "--trials", "2"],
         [
             "PASS multisets: enumeration counts  (6 (labels, size) pairs)",
@@ -172,48 +216,17 @@ GOLDEN = [
             "23/23 checks passed",
         ],
     ),
-
 ]
 
 
-@pytest.mark.parametrize("argv, lines", GOLDEN, ids=["-".join(argv[:2]) for argv, _ in GOLDEN])
+def test_golden_ids_are_unique():
+    ids = [case_id for case_id, _, _ in GOLDEN]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("argv, lines", [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN])
 def test_stdout_is_byte_identical(argv, lines, capsys, monkeypatch):
     monkeypatch.delenv("DBOLTZ_FORMAT", raising=False)
-    assert run(argv) == 0
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
-
-
-# The other two starts of the ``GOLDEN`` chain trace.  They sit in their own
-# list because a second "markov-iterate" entry in ``GOLDEN`` would renumber
-# the id of the one already pinned there.
-GOLDEN_STARTS = [
-    (
-        "last",
-        [
-            "step,tv_distance",
-            "0,0.142857142857",
-            "1,0.031746031746",
-            "2,0.00705467372134",
-            "3,0.00156770527141",
-        ],
-    ),
-    (
-        "uniform",
-        [
-            "step,tv_distance",
-            "0,0.357142857143",
-            "1,0.0793650793651",
-            "2,0.0176366843034",
-            "3,0.00391926317852",
-        ],
-    ),
-]
-
-
-@pytest.mark.parametrize("start, lines", GOLDEN_STARTS, ids=[s for s, _ in GOLDEN_STARTS])
-def test_markov_iterate_starts_are_byte_identical(start, lines, capsys):
-    argv = ["markov", "iterate", "--levels", "3", "--particles", "3", "--sum", "3",
-            "--steps", "3", "--start", start]
     assert run(argv) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
