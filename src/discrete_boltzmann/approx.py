@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .boltzmann import boltzmann_on_energy
 from .distributions import Dist, entropy, kl_divergence, mean, point, total_variation, uniform
@@ -86,10 +85,14 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
     mu = Fraction(mu)
     if e < 1 or mu <= 0:
         raise ValueError("need E >= 1 and mu > 0")
+    if float(mu) == 0:
+        raise ValueError("mean lies closer to 0 than the smallest positive float")
     rate = 1.0 / float(mu)
+    # the message names the mean by floats: the exact one may have more
+    # digits than ``str`` will convert
     if math.exp(-rate * e) < sys.float_info.min and (e + 1) * e / mu / _LN2 > MAX_LIFT_BITS:
-        raise ValueError(f"discrete_exponential({e}, {mu}) would hold weights down to "
-                         f"e^(-{float(e / mu):.6g}) exactly, over {MAX_LIFT_BITS} bits")
+        raise ValueError(f"discrete_exponential({e}, {float(mu):.6g}) would hold weights down to "
+                         f"e^(-{rate * e:.6g}) exactly, over {MAX_LIFT_BITS} bits")
     ratios = []
     for j in range(e + 1):
         w = math.exp(-rate * j)
@@ -225,8 +228,7 @@ def continuous_exponential_pdf(mu: Rational) -> Callable[[float], float]:
     return pdf
 
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(NamedTuple):
     """One approximation held against the exact reference."""
     name: str
     dist: Dist
@@ -236,8 +238,7 @@ class CandidateReport:
     total_variation: Fraction
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Side-by-side comparison of the three discrete approximations plus
     the continuous density descriptor."""
     energy: int

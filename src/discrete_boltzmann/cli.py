@@ -12,7 +12,6 @@ The environment variable DBOLTZ_FORMAT picks the default output format.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -45,7 +44,10 @@ from .nomials import (
     nomial_recursive,
     nomial_via_multisets,
 )
-from .verify import _nomial_route_agreement, run_all
+
+# Every `dboltz` call is its own process, so a module-level import here is
+# paid by every command: modules that only one or two commands use (`json`,
+# `verify`) are imported inside those commands' handlers instead.
 
 __all__ = ["run", "main", "export_plot_data"]
 
@@ -71,6 +73,7 @@ def _emit_dist(omega: Dist, args: argparse.Namespace) -> None:
     if fmt == "kets":
         print(omega)
     elif fmt == "json":
+        import json
         envelope = {
             "command": " ".join(args.command_echo),
             "format": "json",
@@ -112,6 +115,7 @@ def _cmd_nomial_table(args) -> int:
 
 
 def _cmd_nomial_check(args) -> int:
+    from .verify import _nomial_route_agreement
     name = f"nomial route agreement (N <= {args.max_levels}, K <= {args.max_length})"
     try:
         _nomial_route_agreement(args.max_levels, args.max_length, args.budget)
@@ -177,6 +181,7 @@ def _cmd_markov_matrix(args) -> int:
 def _cmd_approx_compare(args) -> int:
     report = approx_mod.compare(args.total_energy, args.particles)
     if args.format == "json":
+        import json
         payload = {
             "command": " ".join(args.command_echo),
             "energy": report.energy,
@@ -238,6 +243,7 @@ def _cmd_multivariate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all
     results = run_all(max_levels=args.max_levels, max_size=args.max_size,
                       budget=args.budget, trials=args.trials)
     failures = 0
@@ -245,6 +251,7 @@ def _cmd_verify(args) -> int:
         tag = "PASS" if r.ok else "FAIL"
         detail = f"  ({r.detail})" if r.detail else ""
         print(f"{tag} {r.name}{detail}")
+        print(f"{r.seconds:.3f} s {r.name}", file=sys.stderr)
         failures += 0 if r.ok else 1
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0

@@ -16,7 +16,6 @@ decimals at 12 significant digits.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Any
 
@@ -107,6 +106,7 @@ def dist_to_json(omega: Dist) -> list[dict[str, Any]]:
 
 
 def dist_to_json_text(omega: Dist, **kwargs: Any) -> str:
+    import json
     return json.dumps(dist_to_json(omega), **kwargs)
 
 

@@ -1,19 +1,19 @@
 """Exhaustive small-scale verification of every library invariant.
 
 Each check sweeps a bounded parameter range with exact arithmetic and
-reports pass/fail; the CLI ``verify all`` subcommand prints one line per
-check and fails loudly on any violation.  Nothing here is sampled or
-tolerance-based except the approximation-solver checks, whose
-tolerances are fixed.
+reports pass/fail and its wall time; the CLI ``verify all`` subcommand
+prints one line per check (and its time on stderr) and fails loudly on
+any violation.  Nothing here is sampled or tolerance-based except the
+approximation-solver checks, whose tolerances are fixed.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+import time
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .approx import discrete_exponential, max_entropy_dist, ratio_approx
 from .boltzmann import (
@@ -69,19 +69,20 @@ from .nomials import (
 __all__ = ["CheckResult", "run_all"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check (time.perf_counter)
 
 
 def _check(results: list[CheckResult], name: str, fn) -> None:
+    start = time.perf_counter()
     try:
-        detail = fn()
-        results.append(CheckResult(name, True, detail or ""))
+        ok, detail = True, fn() or ""
     except Exception as exc:  # noqa: BLE001 - verification must report, not crash
-        results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    results.append(CheckResult(name, ok, detail, time.perf_counter() - start))
 
 
 def _fail(msg: str):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,26 @@ class TestDiscreteExponential:
     def test_exactly_normalized(self):
         dist = discrete_exponential(30, F(7, 2))
         assert sum(dist.weights()) == 1
+
+    def test_budget_refusal_names_a_mean_past_the_digit_limit(self):
+        # the exact mean has 5,000 digits; the message names it as a float
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        before = get_limit() if get_limit else 0
+        if get_limit:
+            sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError, match=r"discrete_exponential\(2000, 0\.001\) would hold"):
+                discrete_exponential(2000, F(1, 1000) + F(1, 10 ** 5000))
+        finally:
+            if get_limit:
+                sys.set_int_max_str_digits(before)
+
+    def test_means_near_zero_are_refused(self):
+        # a subnormal mean: e^(-E/mu) overflows a float in the message
+        with pytest.raises(ValueError, match="would hold weights"):
+            discrete_exponential(2000, F(1, 10 ** 320))
+        with pytest.raises(ValueError, match="smallest positive float"):
+            discrete_exponential(2000, F(1, 10 ** 400))
 
 
 class TestMaxEntropy:

@@ -229,6 +229,16 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "23/23 checks passed"
 
+    def test_one_timing_line_per_check_on_stderr(self, capsys):
+        code = run(["verify", "all", "--max-levels", "2", "--max-size", "2", "--trials", "2"])
+        captured = capsys.readouterr()
+        names = [line.split(None, 1)[1].split("  (")[0]
+                 for line in captured.out.splitlines()[:-1]]
+        timings = [line.split(" s ", 1) for line in captured.err.splitlines()]
+        assert code == 0 and len(names) == 23
+        assert [name for _, name in timings] == names
+        assert all(float(seconds) >= 0 for seconds, _ in timings)
+
 
 class TestEnvironmentFormat:
     def test_default_format_from_env(self, capsys, monkeypatch):
