@@ -51,12 +51,20 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     """Energy level of a random particle, via the nomial ratio.
 
     Weight of level j is C_N(K-1, i-j) / C_N(K, i); levels j > i carry
-    no weight, so for i < N the support stays within 0..i.
+    no weight, so for i < N the support stays within 0..i.  Above half
+    the top sum, 2i > (N-1)K, the weights are read from the shorter side
+    of the palindromic row K-1, C_N(K-1, i-j) = C_N(K-1, T'-i+j) with
+    T' = (N-1)(K-1), so the row step costs O(K*min(i, (N-1)K - i)).  The
+    support stays in ascending level order.
     """
     _validate_config(n, k, i)
-    row = _row(n, k - 1, i)  # C_N(K-1, 0..i), one row for all weights
-    lo, hi = max(0, i - (n - 1) * (k - 1)), min(n - 1, i)
-    return Dist(zip(range(lo, hi + 1), reversed(row[i - hi:i - lo + 1])), nomial(n, k, i))
+    top = (n - 1) * (k - 1)
+    lo, hi = max(0, i - top), min(n - 1, i)
+    if 2 * i > (n - 1) * k:
+        weights = _row(n, k - 1, top - i + hi)[top - i + lo:]  # C_N(K-1, T'-i+lo..T'-i+hi)
+    else:
+        weights = reversed(_row(n, k - 1, i)[i - hi:i - lo + 1])  # C_N(K-1, i-hi..i-lo)
+    return Dist(zip(range(lo, hi + 1), weights), nomial(n, k, i))
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:

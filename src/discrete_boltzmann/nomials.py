@@ -13,6 +13,15 @@ comes from row K-1 by the sliding-window step ``_rows`` at or above N;
 below N, ``_row`` returns the closed-form row multichoose(K, 0..width).
 The recursion, the polynomial expansion, ``NomialTable``, the Vandermonde
 split and the callers in other modules that need a row read these rows.
+
+Every row is a palindrome: level reversal j -> N-1-j preserves multiset
+coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
+T = (N-1)K.  ``nomial``, ``vandermonde_check`` and
+``boltzmann.boltzmann_on_numbers`` read a row cut at i from the shorter
+side, at min(i, T - i), so their row step costs O(K*min(i, T - i)) and
+the closed form covers the top N-1 sums as well as the bottom N.
+``nomial_recursive`` keeps reading the window at i, which makes it an
+independent oracle for the mirror.
 """
 
 from __future__ import annotations
@@ -104,10 +113,14 @@ def nomial_closed_form(n: int, k: int, i: int) -> int:
 def nomial(n: int, k: int, i: int) -> int:
     """C_N(K, i) via the cheapest applicable route.
 
-    Dispatches to the multichoose closed form when i < N, otherwise to
-    the row recursion.  Never 0 for valid parameters.
+    Reads the row from its shorter side: C_N(K, i) = C_N(K, T - i) with
+    T = (N-1)K, so i is first replaced by min(i, T - i).  Then it
+    dispatches to the multichoose closed form when that sum is below N
+    (the bottom N and the top N-1 sums of the row), otherwise to the row
+    recursion at O(K*min(i, T - i)) cost.  Never 0 for valid parameters.
     """
     _validate(n, k, i)
+    i = min(i, (n - 1) * k - i)
     if k >= 1 and i < n:
         return multichoose(k, i)
     return nomial_recursive(n, k, i)
@@ -175,10 +188,17 @@ def polynomial_expand(n: int, k: int) -> list[int]:
 
 
 def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
-    """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?"""
+    """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?
+
+    The rows are cut at min(i, T - i) with T = (N-1)(K1+K2), at
+    O((K1+K2)*min(i, T - i)) cost.  Reflecting every level maps the split
+    at i term by term onto the split at T - i (i1 -> (N-1)K1 - i1), so
+    both cuts check the same sum.
+    """
     if k1 < 0 or k2 < 0:
         raise ValueError("lengths must be naturals")
     _validate(n, k1 + k2, i)
+    i = min(i, (n - 1) * (k1 + k2) - i)
     rows = {k: row for k, row in zip(range(max(k1, k2) + 1), _rows(n, i)) if k in (k1, k2)}
     lo = max(0, i - (n - 1) * k2)
     hi = min((n - 1) * k1, i)

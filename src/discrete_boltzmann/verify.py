@@ -184,6 +184,8 @@ def _nomial_route_agreement(max_levels: int, max_size: int, budget: int) -> str:
             values.add(nomial_enum_sequences(n, k, i, budget))
         if k >= 1 and i < n:
             values.add(multichoose(k, i))
+        if k >= 1 and (n - 1) * k - i < n:  # the closed form on the mirrored side
+            values.add(multichoose(k, (n - 1) * k - i))
         if len(values) != 1:
             _fail(f"routes disagree at N={n}, K={k}, i={i}: {values}")
         cases += 1
