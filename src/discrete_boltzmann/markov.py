@@ -8,16 +8,20 @@ and its Bayesian inversion gives a chain on levels with the Boltzmann
 family on numbers as fixed point.  All equilibrium checks here are
 exact rational computations, never tolerance-based.
 
-``shift`` is the one-state kernel and the one owner of the move rule.
-On a space of N levels, K particles and energy i the chain is compiled
-once into sparse integer rows: the states as count vectors in
-enumeration order, and for each state its row of ``shift`` in lowest
-terms (target indices, integer numerators, one denominator), built the
-first time it is read.  ``shift_channel`` is that compiled form, a
-``Channel`` in its own right.  Iteration pushes an integer vector over
-one denominator through it, and the stationarity residual is one step
-of iteration; the matrix export fills its rows from it; and each row
-of the level chain is one push of that level's flrn-dagger prior.
+The kernel is the composite of two channels, P = (phi(0)/K) I + D C: the
+drop D moves a particle from level d >= 1 to d - 1 with weight phi(d)/K,
+and the climb C moves a particle of the intermediate psi from level
+u < N - 1 to u + 1 with weight psi(u)/(K - psi(N-1)).  ``_drop`` and
+``_climb`` compute those halves on count vectors and own the move rule;
+each gives O(N) entries per row, where a merged row has O(N^2).
+``shift`` and the sampler assemble merged rows from them.
+
+``shift_channel`` compiles one (N, K, i) space once into the two factors
+and is a ``Channel`` in its own right.  Iteration pushes an integer
+vector over one denominator through the drop and the climb in turn; the
+stationarity residual is one step of it, each row of the level chain is
+one push of that level's flrn-dagger prior, and the matrix export
+assembles merged rows from the factors.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import random
 from fractions import Fraction
 
 from .distributions import Channel, Dist, pushforward, total_variation
-from .multisets import Multiset, coefficient, enumerate_multisets_with_sum, levels
+from .multisets import (Multiset, _count_with_sum, coefficient,
+                        enumerate_multisets_with_sum, levels)
 
 __all__ = [
     "shift",
@@ -48,30 +53,57 @@ MAX_MATRIX_STATES = 10_000
 _Row = tuple[list, list[int], int]
 
 
-def _shift_row(vec: tuple[int, ...]) -> _Row:
-    """The move rule of ``shift`` on a count vector over levels: the
-    distinct targets in the order they are first reached, their integer
-    numerators and the common denominator, in lowest terms."""
-    n, k = len(vec), sum(vec)
+def _drop(vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The drop half: per level d >= 1 held, in order, the intermediate
+    with one particle moved to d - 1 and the numerator vec[d] over K."""
+    moves = []
+    for d in range(1, len(vec)):
+        if vec[d]:
+            moves.append((vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:], vec[d]))
+    return moves
+
+
+def _climb(inter: tuple[int, ...]) -> _Row:
+    """The climb half: per level u < N - 1 held, in order, the target with
+    one particle moved to u + 1 and the numerator inter[u], over their sum
+    K - inter[N-1]."""
+    targets, nums = [], []
+    for u in range(len(inter) - 1):
+        if inter[u]:
+            targets.append(inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:])
+            nums.append(inter[u])
+    return targets, nums, sum(nums)
+
+
+def _assemble(stay_key, stay: int, drops, climbs, k: int, low: int) -> _Row:
+    """A merged row from its halves: the stay numerator at ``stay_key``,
+    then each drop (m, w) through its climb ``climbs[m]``, targets in the
+    order first reached.  With ``low`` particles below the top before the
+    drop (low + 1 after a drop from the top), every weight is a count over
+    k * low * (low + 1); the row is returned in lowest terms."""
     if k == 0:
         raise ValueError("shift needs at least one particle")
-    # the particles below the top level number `low`, or low + 1 after a
-    # drop from the top, so every weight is a count over k * scale
-    low = k - vec[n - 1]
     scale = low * (low + 1) or 1
-    row = {vec: vec[0] * scale} if vec[0] else {}
-    for d in range(1, n):
-        if vec[d] == 0:
-            continue
-        inter = vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:]
-        per_move = vec[d] * (scale // (k - inter[n - 1]))
-        for u in range(n - 1):
-            if inter[u]:
-                target = inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:]
-                row[target] = row.get(target, 0) + per_move * inter[u]
+    row = {stay_key: stay * scale} if stay else {}
+    for m, w in drops:
+        targets, nums, c = climbs[m]
+        per_move = w * (scale // c)
+        for t, x in zip(targets, nums):
+            row[t] = row.get(t, 0) + per_move * x
     den = k * scale
     g = math.gcd(den, *row.values())
-    return list(row), [m // g for m in row.values()], den // g
+    return list(row), [x // g for x in row.values()], den // g
+
+
+def _shift_row(vec: tuple[int, ...], climbs: dict) -> _Row:
+    """The row of ``shift`` on a count vector; ``climbs`` keeps each
+    intermediate's climb half for the calls that share it."""
+    drops = _drop(vec)
+    for inter, _ in drops:
+        if inter not in climbs:
+            climbs[inter] = _climb(inter)
+    k = sum(vec)
+    return _assemble(vec, vec[0], drops, climbs, k, k - vec[-1])
 
 
 def shift(phi: Multiset) -> Dist:
@@ -85,35 +117,44 @@ def shift(phi: Multiset) -> Dist:
     """
     if not phi.ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
-    targets, nums, den = _shift_row(phi.counts_vector())
+    targets, nums, den = _shift_row(phi.counts_vector(), {})
     return Dist(zip((Multiset._from_vector(phi.ground, t) for t in targets), nums), den)
 
 
 class _ShiftChain(Channel):
-    """The shift chain on one (N, K, i) space as sparse integer rows.
+    """The shift chain on one (N, K, i) space as stay + drop * climb.
 
     ``states`` are the configurations in enumeration order and ``index``
-    maps each count vector to its position.  ``row(j)`` is the row of
-    ``shift`` from state j as (target indices, numerators, denominator)
-    in lowest terms, built on first use.  As a ``Channel`` it is
-    ``shift_channel``: calling it gives the row of ``phi`` as a ``Dist``.
+    maps each count vector to its position.  State j stays with numerator
+    ``stay[j]`` = phi(0) and drops by ``drops[j]``, one (intermediate,
+    phi(d)) per level d >= 1 it holds, all over K.  The intermediates, of
+    energy i - 1, are numbered as the drops first reach them;
+    ``climbs[m]`` holds intermediate m's target indices, numerators psi(u)
+    and denominator K - psi(N-1).  Each factor row has O(N) entries.
+    ``push`` is two sparse passes; ``row(j)`` is the merged row of
+    ``shift`` from state j in lowest terms, and calling the channel gives
+    it as a ``Dist``.
     """
 
-    __slots__ = ("ground", "space", "states", "index", "_rows")
+    __slots__ = ("ground", "space", "states", "index", "stay", "drops", "climbs")
 
     def __init__(self, n: int, k: int, i: int):
         self.ground = levels(n)
         self.space = (k, i)
         self.states = list(enumerate_multisets_with_sum(n, k, i))
-        self.index = {phi.counts_vector(): j for j, phi in enumerate(self.states)}
-        self._rows: list[_Row | None] = [None] * len(self.states)
+        vecs = [phi.counts_vector() for phi in self.states]
+        self.index = {v: j for j, v in enumerate(vecs)}
+        self.stay = [v[0] for v in vecs]
+        inters: dict[tuple[int, ...], int] = {}
+        self.drops = [[(inters.setdefault(inter, len(inters)), w) for inter, w in _drop(v)]
+                      for v in vecs]
+        self.climbs = [([self.index[t] for t in targets], nums, c)
+                       for targets, nums, c in map(_climb, inters)]
 
     def row(self, j: int) -> _Row:
-        row = self._rows[j]
-        if row is None:
-            targets, nums, den = _shift_row(self.states[j].counts_vector())
-            row = self._rows[j] = ([self.index[t] for t in targets], nums, den)
-        return row
+        k = self.space[0]
+        low = k - self.states[j].counts_vector()[-1]
+        return _assemble(j, self.stay[j], self.drops[j], self.climbs, k, low)
 
     def locate(self, phi) -> int:
         """The index of ``phi``; raises unless it is a state of this space."""
@@ -137,18 +178,27 @@ class _ShiftChain(Channel):
         return vec
 
     def push(self, vec: list[int], den: int) -> tuple[list[int], int]:
-        """One step from vec/den: a sparse integer mat-vec scaled to the
-        lcm of the live rows' denominators, then one gcd reduction."""
-        live = [(c, self.row(j)) for j, c in enumerate(vec) if c]
+        """One step from vec/den: the drop pass into the intermediates over
+        K, the climb pass back over the lcm of the live climb
+        denominators, the stay term, then one gcd reduction."""
+        k = self.space[0]
+        if k == 0:
+            raise ValueError("shift needs at least one particle")
+        mid = [0] * len(self.climbs)
+        for c, drops in zip(vec, self.drops):
+            if c:
+                for m, w in drops:
+                    mid[m] += c * w
+        live = [(c, self.climbs[m]) for m, c in enumerate(mid) if c]
         scale = math.lcm(*{d for _, (_, _, d) in live})
-        out = [0] * len(vec)
+        out = [c * s * scale for c, s in zip(vec, self.stay)]
         for c, (targets, nums, d) in live:
             c *= scale // d
-            for t, m in zip(targets, nums):
-                out[t] += c * m
-        den *= scale
+            for t, x in zip(targets, nums):
+                out[t] += c * x
+        den *= k * scale
         g = math.gcd(den, *out)
-        return ([m // g for m in out], den // g) if g > 1 else (out, den)
+        return ([x // g for x in out], den // g) if g > 1 else (out, den)
 
 
 def _vector_distance(a: list[int], a_den: int, b: list[int], b_den: int) -> Fraction:
@@ -220,6 +270,8 @@ def iterate_chain(omega0: Dist, channel: Channel, steps: int,
     A ``shift_channel`` iterates integer vectors over its states and
     raises when ``omega0`` or ``reference`` has support outside them.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     if not isinstance(channel, _ShiftChain):
         out = [(0, total_variation(omega0, reference))]
         current = omega0
@@ -241,20 +293,22 @@ def transition_matrix(n: int, k: int, i: int,
     """Explicit row-stochastic matrix of the shift chain, for inspection.
 
     States follow the canonical enumeration order; row phi holds the
-    transition weights shift(phi)(psi), filled from the compiled sparse
-    rows.  Guarded to small spaces.
+    transition weights shift(phi)(psi), assembled from the compiled
+    factors.  Guarded to small spaces: the states are counted, and
+    refused, before any configuration or factor is built.
     """
-    chain = _ShiftChain(n, k, i)
-    size = len(chain.states)
+    size = _count_with_sum(n, k, i)
     if size > max_states:
         raise ValueError(f"{size} states exceed the matrix limit {max_states}")
+    chain = _ShiftChain(n, k, i)
     zero = Fraction(0)
+    weights: dict[tuple[int, int], Fraction] = {}  # rows share few distinct weights
     rows = []
     for j in range(size):
         row = [zero] * size
         targets, nums, den = chain.row(j)
         for t, m in zip(targets, nums):
-            row[t] = Fraction(m, den)
+            row[t] = weights.get((m, den)) or weights.setdefault((m, den), Fraction(m, den))
         rows.append(row)
     return chain.states, rows
 
@@ -269,17 +323,20 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
     it returns.  Sampling is a demonstration feature only; every
     equilibrium claim here is established by exact pushforward instead.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     ground = phi0.ground
     if not ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
     rng = random.Random(seed)
     rows: dict[tuple[int, ...], _Row] = {}
+    climbs: dict[tuple[int, ...], _Row] = {}
     vecs = [phi0.counts_vector()]
     for _ in range(steps):
         vec = vecs[-1]
         row = rows.get(vec)
         if row is None:
-            row = rows[vec] = _shift_row(vec)
+            row = rows[vec] = _shift_row(vec, climbs)
         targets, nums, den = row
         r = rng.randrange(den)
         for target, m in zip(targets, nums):

@@ -359,6 +359,27 @@ def enumerate_multisets(ground: GroundSet, k: int,
         yield Multiset._from_vector(ground, vec)
 
 
+def _check_sum_space(n: int, k: int, i: int) -> None:
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    if not 0 <= i <= (n - 1) * k:
+        raise ValueError(f"target sum {i} out of range [0, {(n - 1) * k}]")
+
+
+def _count_with_sum(n: int, k: int, i: int) -> int:
+    """The number of multisets ``enumerate_multisets_with_sum`` yields,
+    counted level by level in O(N K i) additions without building any."""
+    _check_sum_space(n, k, i)
+    # ways[r][w]: count vectors over the levels so far with r particles and
+    # level sum w; level 0 alone holds every particle at sum 0
+    ways = [[1] + [0] * i for _ in range(k + 1)]
+    for j in range(1, min(n - 1, i) + 1):
+        for r in range(1, k + 1):
+            row = ways[r]
+            ways[r] = row[:j] + [a + b for a, b in zip(row[j:], ways[r - 1])]
+    return ways[k][i]
+
+
 def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     """All multisets over levels 0..n-1 with size ``k`` and som ``i``.
 
@@ -366,10 +387,7 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     remaining-sum pruning, never by filtering the full size-k family.
     Canonical colex order.
     """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    if not 0 <= i <= (n - 1) * k:
-        raise ValueError(f"target sum {i} out of range [0, {(n - 1) * k}]")
+    _check_sum_space(n, k, i)
     ground = levels(n)
     for vec in _level_sum_fill([0] * n, n - 1, k, i):
         yield Multiset._from_vector(ground, vec)
