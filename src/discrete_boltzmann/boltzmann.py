@@ -18,7 +18,7 @@ kept as its oracle.
 from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
-from .multisets import coefficient, enumerate_multisets_with_sum
+from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum
 from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
 
 __all__ = [
@@ -32,17 +32,10 @@ __all__ = [
 ]
 
 
-def _validate_config(n: int, k: int, i: int) -> None:
-    if n < 1 or k < 1:
-        raise ValueError("need N >= 1 levels and K >= 1 particles")
-    if not 0 <= i <= (n - 1) * k:
-        raise ValueError(f"total energy {i} out of range [0, {(n - 1) * k}]")
-
-
 def boltzmann_on_multisets(n: int, k: int, i: int) -> Dist:
     """Configurations of k particles over n levels with total energy i,
     weighted by their multiset coefficients."""
-    _validate_config(n, k, i)
+    _check_sum_space(n, k, i, k_min=1)
     return Dist(((phi, coefficient(phi)) for phi in enumerate_multisets_with_sum(n, k, i)),
                 nomial(n, k, i))
 
@@ -57,7 +50,7 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     T' = (N-1)(K-1), so the row step costs O(K*min(i, (N-1)K - i)).  The
     support stays in ascending level order.
     """
-    _validate_config(n, k, i)
+    _check_sum_space(n, k, i, k_min=1)
     top = (n - 1) * (k - 1)
     lo, hi = max(0, i - top), min(n - 1, i)
     if 2 * i > (n - 1) * k:
@@ -71,7 +64,6 @@ def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:
     """Oracle route: frequentist learning pushed forward over the
     multiset family.  Exponential work; must agree exactly with
     boltzmann_on_numbers."""
-    _validate_config(n, k, i)
     return pushforward(flrn, boltzmann_on_multisets(n, k, i))
 
 
@@ -91,7 +83,7 @@ def microstate_uniform(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> 
     """Uniform distribution on the sequences (microstates) of length k
     over 0..n-1 that sum to i.  Enumerates all n**k sequences, so a
     budget guard applies."""
-    _validate_config(n, k, i)
+    _check_sum_space(n, k, i, k_min=1)
     return uniform(_sequences_with_sum(n, k, i, budget))
 
 

@@ -21,7 +21,9 @@ and is a ``Channel`` in its own right.  Iteration pushes an integer
 vector over one denominator through the drop and the climb in turn; the
 stationarity residual is one step of it, each row of the level chain is
 one push of that level's flrn-dagger prior, and the matrix export
-assembles merged rows from the factors.
+assembles merged rows from the factors.  ``_priors`` owns that prior,
+coefficient(phi) * phi(j) by state, for ``flrn_dagger`` and the level
+chain alike.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import math
 import operator
 import random
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .distributions import Channel, Dist, pushforward, total_variation
-from .multisets import (Multiset, _count_with_sum, coefficient,
-                        enumerate_multisets_with_sum, levels)
+from .multisets import Multiset, _count_with_sum, coefficient, enumerate_multisets_with_sum
 
 __all__ = [
     "shift",
@@ -139,9 +141,9 @@ class _ShiftChain(Channel):
     __slots__ = ("ground", "space", "states", "index", "stay", "drops", "climbs")
 
     def __init__(self, n: int, k: int, i: int):
-        self.ground = levels(n)
-        self.space = (k, i)
         self.states = list(enumerate_multisets_with_sum(n, k, i))
+        self.ground = self.states[0].ground
+        self.space = (k, i)
         vecs = [phi.counts_vector() for phi in self.states]
         self.index = {v: j for j, v in enumerate(vecs)}
         self.stay = [v[0] for v in vecs]
@@ -219,19 +221,38 @@ def stationarity_residual(omega: Dist, channel: Channel) -> Fraction:
     return iterate_chain(omega, channel, 1, omega)[1][1]
 
 
+def _priors(states: list[Multiset],
+            columns: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, list[int]]]:
+    """The flrn-dagger prior of each attainable level j: the numerators
+    coefficient(phi) * phi(j) by state, read from the states' count
+    ``columns`` with one ``coefficient`` per state.  A level no state
+    holds (every level when K = 0) has no prior."""
+    weights = [coefficient(phi) for phi in states]
+    for j, column in enumerate(columns):
+        prior = list(map(operator.mul, weights, column))
+        if any(prior):
+            yield j, prior
+
+
+def _level_channel(rows: dict[int, Dist], k: int, i: int) -> Channel:
+    """The channel on levels with the given rows; any other level raises."""
+    def kernel(j: int) -> Dist:
+        row = rows.get(j)
+        if row is None:
+            raise ValueError(f"level {j} is unattainable with size {k} and energy {i}")
+        return row
+
+    return Channel(kernel)
+
+
 def flrn_dagger(n: int, k: int, i: int) -> Channel:
     """Bayesian inversion of frequentist learning with the Boltzmann
     prior: from a level j back to the configurations containing it,
     each weighted by coefficient(phi) * phi(j), normalized."""
-    space = list(enumerate_multisets_with_sum(n, k, i))
-
-    def kernel(j: int) -> Dist:
-        weights = [(phi, coefficient(phi) * phi(j)) for phi in space if phi(j)]
-        if not weights:
-            raise ValueError(f"level {j} is unattainable with size {k} and energy {i}")
-        return Dist(weights, sum(w for _, w in weights))
-
-    return Channel(kernel)
+    states = list(enumerate_multisets_with_sum(n, k, i))
+    columns = zip(*(phi.counts_vector() for phi in states))
+    rows = {j: Dist(zip(states, prior), sum(prior)) for j, prior in _priors(states, columns)}
+    return _level_channel(rows, k, i)
 
 
 def shift_on_numbers(n: int, k: int, i: int) -> Channel:
@@ -242,24 +263,13 @@ def shift_on_numbers(n: int, k: int, i: int) -> Channel:
     result over K times its denominator.
     """
     chain = _ShiftChain(n, k, i)
-    weights = [coefficient(phi) for phi in chain.states]
     columns = list(zip(*(phi.counts_vector() for phi in chain.states)))
-    lumped = {}
-    for j, column in enumerate(columns):
-        prior = [w * c for w, c in zip(weights, column)]
-        # a level no configuration holds (every level when K = 0) has no row
-        if any(prior):
-            vec, den = chain.push(prior, sum(prior))
-            counts = [sum(map(operator.mul, vec, col)) for col in columns]
-            lumped[j] = Dist(enumerate(counts), den * k)
-
-    def kernel(j: int) -> Dist:
-        dist = lumped.get(j)
-        if dist is None:
-            raise ValueError(f"level {j} is unattainable with size {k} and energy {i}")
-        return dist
-
-    return Channel(kernel)
+    rows = {}
+    for j, prior in _priors(chain.states, columns):
+        vec, den = chain.push(prior, sum(prior))
+        counts = [sum(map(operator.mul, vec, col)) for col in columns]
+        rows[j] = Dist(enumerate(counts), den * k)
+    return _level_channel(rows, k, i)
 
 
 def iterate_chain(omega0: Dist, channel: Channel, steps: int,

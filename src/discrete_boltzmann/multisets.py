@@ -346,6 +346,7 @@ def enumerate_multisets(ground: GroundSet, k: int,
     With ``caps``, restricts each label x to at most caps[x] occurrences,
     which enumerates exactly the sub-multisets of size k of a given urn.
     Yields multichoose(len(ground), k) multisets in the unrestricted case.
+    A negative size raises at the call, not at the first element.
     """
     if k < 0:
         raise ValueError("size must be a natural")
@@ -355,15 +356,21 @@ def enumerate_multisets(ground: GroundSet, k: int,
     tail_room = [0] * (m + 1)
     for p in range(m):
         tail_room[p + 1] = tail_room[p] + cap_vec[p]
-    for vec in _bounded_fill([0] * m, cap_vec, tail_room, m - 1, k):
-        yield Multiset._from_vector(ground, vec)
+    return (Multiset._from_vector(ground, vec)
+            for vec in _bounded_fill([0] * m, cap_vec, tail_room, m - 1, k))
 
 
-def _check_sum_space(n: int, k: int, i: int) -> None:
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    if not 0 <= i <= (n - 1) * k:
-        raise ValueError(f"target sum {i} out of range [0, {(n - 1) * k}]")
+def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> None:
+    """The one check of a level-sum space, the size-K multisets over the
+    levels 0..N-1 with sum i: N >= 1, K >= ``k_min`` and 0 <= i <= (N-1)K.
+    Counting, enumeration and the shift chain allow K = 0; the Boltzmann
+    and urn families pass ``k_min`` = 1.  An empty space reads as the
+    empty range [0, -1]."""
+    empty = n < 1 or k < k_min
+    top = -1 if empty else (n - 1) * k
+    if not 0 <= i <= top:
+        need = f" (needs N >= 1 and K >= {k_min})" if empty else ""
+        raise ValueError(f"sum {i} out of range [0, {top}] for N={n}, K={k}{need}")
 
 
 def _count_with_sum(n: int, k: int, i: int) -> int:
@@ -385,12 +392,11 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
 
     Generated by bounded composition with remaining-size and
     remaining-sum pruning, never by filtering the full size-k family.
-    Canonical colex order.
+    Canonical colex order.  An invalid space raises at the call.
     """
     _check_sum_space(n, k, i)
     ground = levels(n)
-    for vec in _level_sum_fill([0] * n, n - 1, k, i):
-        yield Multiset._from_vector(ground, vec)
+    return (Multiset._from_vector(ground, vec) for vec in _level_sum_fill([0] * n, n - 1, k, i))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from operator import getitem
 from .distributions import Channel, Dist, flrn, pushforward
 from .multisets import (
     Multiset,
+    _check_sum_space,
     binom,
     coefficient,
     enumerate_multisets,
@@ -109,10 +110,7 @@ def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
     if n is None:
         n = len(psi.ground)
     total_size = psi.size
-    if n < 1 or total_size < 1:
-        raise ValueError("need N >= 1 and a nonempty urn")
-    if not 0 <= i <= (n - 1) * total_size:
-        raise ValueError(f"total {i} out of range [0, {(n - 1) * total_size}]")
+    _check_sum_space(n, total_size, i, k_min=1)
     caps = {x: (n - 1) * c for x, c in psi.items()}
     sizes = psi.counts_vector()
     rows = {k: row for k, row in zip(range(max(sizes) + 1), _rows(n, i)) if k in sizes}
@@ -131,10 +129,7 @@ def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
     normalizes is re-verified by construction on every call.
     """
     k = psi.size
-    if n < 1 or k < 1:
-        raise ValueError("need N >= 1 and a nonempty sizes urn")
-    if not 0 <= i <= (n - 1) * k:
-        raise ValueError(f"total energy {i} out of range [0, {(n - 1) * k}]")
+    _check_sum_space(n, k, i, k_min=1)
     sizes = psi.counts_vector()
     caps = {x: (n - 1) * c for x, c in psi.items()}
     pairs = []

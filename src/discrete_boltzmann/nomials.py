@@ -31,6 +31,7 @@ from operator import sub
 from typing import Iterator
 
 from .multisets import (
+    _check_sum_space,
     coefficient,
     enumerate_multisets_with_sum,
     multichoose,
@@ -51,15 +52,6 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 
-def _validate(n: int, k: int, i: int) -> None:
-    if n < 1:
-        raise ValueError("need at least one level (N >= 1)")
-    if k < 0:
-        raise ValueError("sequence length K must be a natural")
-    if not 0 <= i <= (n - 1) * k:
-        raise ValueError(f"sum {i} out of range [0, {(n - 1) * k}] for N={n}, K={k}")
-
-
 def nomial_enum_sequences(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> int:
     """Count sequences directly from the definition.
 
@@ -67,7 +59,7 @@ def nomial_enum_sequences(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) 
     independent oracle for the other routes.  Refuses to enumerate more
     than ``budget`` sequences.
     """
-    _validate(n, k, i)
+    _check_sum_space(n, k, i)
     return sum(1 for _ in _sequences_with_sum(n, k, i, budget))
 
 
@@ -82,7 +74,7 @@ def _sequences_with_sum(n: int, k: int, i: int, budget: int) -> Iterator[tuple[i
 
 def nomial_via_multisets(n: int, k: int, i: int) -> int:
     """Sum of multiset coefficients over the size-k, sum-i configurations."""
-    _validate(n, k, i)
+    _check_sum_space(n, k, i)
     return sum(coefficient(phi) for phi in enumerate_multisets_with_sum(n, k, i))
 
 
@@ -96,13 +88,13 @@ def nomial_recursive(n: int, k: int, i: int) -> int:
     at level i, so the whole evaluation costs O(K*i) additions.  It
     reads the window at every i, never ``_row``'s closed form below N.
     """
-    _validate(n, k, i)
+    _check_sum_space(n, k, i)
     return next(itertools.islice(_rows(n, i), k, None))[i]
 
 
 def nomial_closed_form(n: int, k: int, i: int) -> int:
     """For i < N the level bound never bites and C_N(K, i) = multichoose(K, i)."""
-    _validate(n, k, i)
+    _check_sum_space(n, k, i)
     if i >= n:
         raise ValueError(f"closed form needs i < N, got i={i}, N={n}")
     if k < 1:
@@ -119,7 +111,7 @@ def nomial(n: int, k: int, i: int) -> int:
     (the bottom N and the top N-1 sums of the row), otherwise to the row
     recursion at O(K*min(i, T - i)) cost.  Never 0 for valid parameters.
     """
-    _validate(n, k, i)
+    _check_sum_space(n, k, i)
     i = min(i, (n - 1) * k - i)
     if k >= 1 and i < n:
         return multichoose(k, i)
@@ -136,7 +128,7 @@ def nomial_prefix_sum(n: int, k: int, bound: int) -> int:
     if k < 1:
         raise ValueError("prefix sum needs K >= 1")
     if not 0 <= bound <= n:
-        raise ValueError(f"bound {bound} out of range [0, {n}]")
+        raise ValueError(f"prefix-sum bound {bound} not in [0, {n}]")
     lhs = sum(nomial(n, k, i) for i in range(bound))
     scaled = bound * multichoose(k, bound)
     if scaled % k:
@@ -182,8 +174,7 @@ def polynomial_expand(n: int, k: int) -> list[int]:
     The coefficient of x^i is C_N(K, i); this is the generating-function
     route, read as the full row K of the shared sliding-window step.
     """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    _check_sum_space(n, k, 0)
     return _row(n, k, (n - 1) * k)
 
 
@@ -197,7 +188,7 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("lengths must be naturals")
-    _validate(n, k1 + k2, i)
+    _check_sum_space(n, k1 + k2, i)
     i = min(i, (n - 1) * (k1 + k2) - i)
     rows = {k: row for k, row in zip(range(max(k1, k2) + 1), _rows(n, i)) if k in (k1, k2)}
     lo = max(0, i - (n - 1) * k2)
@@ -214,8 +205,7 @@ class NomialTable:
     """
 
     def __init__(self, n: int, k_max: int):
-        if n < 1 or k_max < 0:
-            raise ValueError("need n >= 1 and k_max >= 0")
+        _check_sum_space(n, k_max, 0)
         self._n = n
         self._k_max = k_max
         self._rows = list(itertools.islice(_rows(n, (n - 1) * k_max), k_max + 1))
