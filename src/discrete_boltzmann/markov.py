@@ -12,9 +12,16 @@ The kernel is the composite of two channels, P = (phi(0)/K) I + D C: the
 drop D moves a particle from level d >= 1 to d - 1 with weight phi(d)/K,
 and the climb C moves a particle of the intermediate psi from level
 u < N - 1 to u + 1 with weight psi(u)/(K - psi(N-1)).  ``_drop`` and
-``_climb`` compute those halves on count vectors and own the move rule;
-each gives O(N) entries per row, where a merged row has O(N^2).
-``shift`` and the sampler assemble merged rows from them.
+``_climb`` compute those halves and own the move rule; each gives O(N)
+entries per row, where a merged row has O(N^2).  ``shift`` and the
+sampler assemble merged rows from them.
+
+The halves name configurations by integer keys, one base-(K + 1) digit
+per level since no count exceeds K: key(v) = sum of v[j] * (K + 1)^j.
+A drop at level d moves a key by (K + 1)^(d-1) - (K + 1)^d and a climb
+at level u by (K + 1)^(u+1) - (K + 1)^u, so no neighbouring count
+vector is built; each intermediate's counts come from its source vector
+and its drop level.
 
 ``shift_channel`` compiles one (N, K, i) space once into the two factors
 and is a ``Channel`` in its own right.  Iteration pushes an integer
@@ -55,26 +62,62 @@ MAX_MATRIX_STATES = 10_000
 _Row = tuple[list, list[int], int]
 
 
-def _drop(vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """The drop half: per level d >= 1 held, in order, the intermediate
-    with one particle moved to d - 1 and the numerator vec[d] over K."""
-    moves = []
-    for d in range(1, len(vec)):
-        if vec[d]:
-            moves.append((vec[:d - 1] + (vec[d - 1] + 1, vec[d] - 1) + vec[d + 1:], vec[d]))
-    return moves
+def _key_moves(n: int, k: int) -> tuple[list[int], list[int]]:
+    """The integer keys of the size-K count vectors over n levels, one
+    base-(K + 1) digit per level since no count exceeds K: the place
+    values ``powers`` = (K + 1)^j, so key(v) = sum of v[j] * (K + 1)^j,
+    and the moves ``up`` = (K + 1)^(u+1) - (K + 1)^u.  A climb at level u
+    adds up[u] to a key and a drop at level d subtracts up[d - 1]."""
+    powers = [(k + 1) ** j for j in range(n)]
+    return powers, [b - a for a, b in zip(powers, powers[1:])]
 
 
-def _climb(inter: tuple[int, ...]) -> _Row:
-    """The climb half: per level u < N - 1 held, in order, the target with
-    one particle moved to u + 1 and the numerator inter[u], over their sum
-    K - inter[N-1]."""
-    targets, nums = [], []
-    for u in range(len(inter) - 1):
-        if inter[u]:
-            targets.append(inter[:u] + (inter[u] - 1, inter[u + 1] + 1) + inter[u + 2:])
-            nums.append(inter[u])
-    return targets, nums, sum(nums)
+def _vector(key: int, powers: list[int], k: int) -> tuple[int, ...]:
+    """The size-K count vector whose key over ``powers`` is ``key``."""
+    return tuple([key // p % (k + 1) for p in powers])
+
+
+def _drop(vecs: list[tuple[int, ...]], keys: list[int], up: list[int], inters: dict[int, int]
+          ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, tuple[int, ...], int]]]:
+    """The drop half on count vectors and their keys: per vector, per
+    level d >= 1 held, in order, (m, vec[d]) over K, where m numbers in
+    ``inters`` the intermediate with one particle moved to d - 1, of key
+    key - up[d - 1].  Intermediates are numbered as first reached; each
+    one new to ``inters`` comes back as (key, vec, d)."""
+    rows, new = [], []
+    number = inters.get
+    for vec, key in zip(vecs, keys):
+        row = []
+        d = 0
+        for step in up:
+            d += 1
+            w = vec[d]
+            if w:
+                inter = key - step
+                m = number(inter)
+                if m is None:
+                    m = inters[inter] = len(inters)
+                    new.append((inter, vec, d))
+                row.append((m, w))
+        rows.append(row)
+    return rows, new
+
+
+def _climb(inters: list[tuple[int, tuple[int, ...], int]], up: list[int]) -> Iterator[_Row]:
+    """The climb half on the intermediates (key, vec, d) that ``_drop``
+    returns: for the intermediate psi, vec with one particle moved from d
+    to d - 1, per level u < N - 1 held, in order, the target key
+    key + up[u] and the numerator psi(u), over their sum K - psi(N-1)."""
+    for key, vec, d in inters:
+        psi = list(vec)
+        psi[d - 1] += 1
+        psi[d] -= 1
+        targets, nums = [], []
+        for c, step in zip(psi, up):
+            if c:
+                targets.append(key + step)
+                nums.append(c)
+        yield targets, nums, sum(nums)
 
 
 def _assemble(stay_key, stay: int, drops, climbs, k: int, low: int) -> _Row:
@@ -97,15 +140,15 @@ def _assemble(stay_key, stay: int, drops, climbs, k: int, low: int) -> _Row:
     return list(row), [x // g for x in row.values()], den // g
 
 
-def _shift_row(vec: tuple[int, ...], climbs: dict) -> _Row:
-    """The row of ``shift`` on a count vector; ``climbs`` keeps each
-    intermediate's climb half for the calls that share it."""
-    drops = _drop(vec)
-    for inter, _ in drops:
-        if inter not in climbs:
-            climbs[inter] = _climb(inter)
+def _shift_row(vec: tuple[int, ...], key: int, up: list[int], inters: dict[int, int],
+               climbs: list[_Row]) -> _Row:
+    """The row of ``shift`` on a count vector and its key, targets as
+    keys; ``inters`` and ``climbs`` keep each intermediate's number and
+    climb half for the calls that share them."""
+    (drops,), new = _drop([vec], [key], up, inters)
+    climbs.extend(_climb(new, up))
     k = sum(vec)
-    return _assemble(vec, vec[0], drops, climbs, k, k - vec[-1])
+    return _assemble(key, vec[0], drops, climbs, k, k - vec[-1])
 
 
 def shift(phi: Multiset) -> Dist:
@@ -119,8 +162,12 @@ def shift(phi: Multiset) -> Dist:
     """
     if not phi.ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
-    targets, nums, den = _shift_row(phi.counts_vector(), {})
-    return Dist(zip((Multiset._from_vector(phi.ground, t) for t in targets), nums), den)
+    vec = phi.counts_vector()
+    k = sum(vec)
+    powers, up = _key_moves(len(vec), k)
+    targets, nums, den = _shift_row(vec, sum(map(operator.mul, vec, powers)), up, {}, [])
+    return Dist(zip((Multiset._from_vector(phi.ground, _vector(t, powers, k)) for t in targets),
+                    nums), den)
 
 
 class _ShiftChain(Channel):
@@ -133,6 +180,10 @@ class _ShiftChain(Channel):
     energy i - 1, are numbered as the drops first reach them;
     ``climbs[m]`` holds intermediate m's target indices, numerators psi(u)
     and denominator K - psi(N-1).  Each factor row has O(N) entries.
+    The compile moves integer keys, key(v) = sum of v[j] * (K + 1)^j: a
+    drop at level d adds (K + 1)^(d-1) - (K + 1)^d and a climb at level u
+    adds (K + 1)^(u+1) - (K + 1)^u, and a dict from key to index, built
+    for the compile alone, turns each target key into its state.
     ``push`` is two sparse passes; ``row(j)`` is the merged row of
     ``shift`` from state j in lowest terms, and calling the channel gives
     it as a ``Dist``.
@@ -147,11 +198,12 @@ class _ShiftChain(Channel):
         vecs = [phi.counts_vector() for phi in self.states]
         self.index = {v: j for j, v in enumerate(vecs)}
         self.stay = [v[0] for v in vecs]
-        inters: dict[tuple[int, ...], int] = {}
-        self.drops = [[(inters.setdefault(inter, len(inters)), w) for inter, w in _drop(v)]
-                      for v in vecs]
-        self.climbs = [([self.index[t] for t in targets], nums, c)
-                       for targets, nums, c in map(_climb, inters)]
+        powers, up = _key_moves(n, k)
+        keys = [sum(map(operator.mul, v, powers)) for v in vecs]
+        self.drops, inters = _drop(vecs, keys, up, {})
+        place = dict(zip(keys, range(len(keys)))).__getitem__
+        self.climbs = [(list(map(place, targets)), nums, c)
+                       for targets, nums, c in _climb(inters, up)]
 
     def row(self, j: int) -> _Row:
         k = self.space[0]
@@ -328,9 +380,10 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
 
     Each successor is drawn exactly: one uniform integer below the
     step's denominator walks its integer cumulative numerators, in the
-    order of ``shift(phi).numerators()``.  It walks count vectors, one
-    row per visited vector, and builds configurations only for the path
-    it returns.  Sampling is a demonstration feature only; every
+    order of ``shift(phi).numerators()``.  It walks integer keys, one
+    row per visited configuration, reads each key reached back into its
+    count vector once, and builds configurations only for the path it
+    returns.  Sampling is a demonstration feature only; every
     equilibrium claim here is established by exact pushforward instead.
     """
     if steps < 0:
@@ -339,19 +392,27 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
     if not ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
     rng = random.Random(seed)
-    rows: dict[tuple[int, ...], _Row] = {}
-    climbs: dict[tuple[int, ...], _Row] = {}
-    vecs = [phi0.counts_vector()]
+    vec = phi0.counts_vector()
+    k = sum(vec)
+    powers, up = _key_moves(len(vec), k)
+    key = sum(map(operator.mul, vec, powers))
+    vectors = {key: vec}  # the count vector of each key reached
+    rows: dict[int, _Row] = {}
+    inters: dict[int, int] = {}
+    climbs: list[_Row] = []
+    keys = []
     for _ in range(steps):
-        vec = vecs[-1]
-        row = rows.get(vec)
+        row = rows.get(key)
         if row is None:
-            row = rows[vec] = _shift_row(vec, climbs)
+            row = rows[key] = _shift_row(vectors[key], key, up, inters, climbs)
         targets, nums, den = row
         r = rng.randrange(den)
         for target, m in zip(targets, nums):
             r -= m
             if r < 0:
-                vecs.append(target)
+                key = target
                 break
-    return [phi0] + [Multiset._from_vector(ground, v) for v in vecs[1:]]
+        if key not in vectors:
+            vectors[key] = _vector(key, powers, k)
+        keys.append(key)
+    return [phi0] + [Multiset._from_vector(ground, vectors[t]) for t in keys]

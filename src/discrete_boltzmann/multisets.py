@@ -235,11 +235,15 @@ def size(phi: Multiset) -> int:
 
 
 def coefficient(phi: Multiset) -> int:
-    """Number of sequences accumulating to ``phi``: size! / prod(counts!)."""
-    out = math.factorial(phi.size)
-    for _, n in phi.items():
-        out //= math.factorial(n)
-    return out
+    """Number of sequences accumulating to ``phi``: size! / prod(counts!),
+    read from the count vector with one division; counts below 2 add no
+    factor."""
+    vec = phi.counts_vector()
+    den = 1
+    for n in vec:
+        if n > 1:
+            den *= math.factorial(n)
+    return math.factorial(sum(vec)) // den
 
 
 def som(phi: Multiset) -> int:
@@ -294,49 +298,88 @@ def leq(phi: Multiset, psi: Multiset) -> bool:
 # Canonical order is colexicographic on the dense multiplicity vector:
 # two multisets compare at the last ground position where they differ.
 # Equivalently, the reversed count vectors are in ascending lexicographic
-# order.  The recursive generators below emit exactly that order by
-# choosing the count of the last ground position in the outermost loop.
+# order.  The fills below step from each vector to its colex successor
+# in place (Nijenhuis and Wilf, *Combinatorial Algorithms*, 1978, ch. 5):
+# find the lowest position whose count can still grow, increment it, and
+# refill every position below it with its smallest feasible count.  Each
+# bound keeps the leftover feasible, so no step ever backtracks.
 # ---------------------------------------------------------------------------
 
 
-# The recursive fills are module-level functions, not closures: a nested
-# generator that calls itself sits in a reference cycle, which only the
-# cyclic garbage collector frees.
+def _bounded_fill(caps: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    """The count vectors of size ``k`` with vec[p] <= caps[p], colex order.
 
-def _bounded_fill(vec: list[int], caps: Sequence[int], tail_room: list[int],
-                  pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-    """Fill vec[0..pos] with ``remaining`` under ``caps``, colex order."""
-    if pos == 0:
-        if remaining <= caps[0]:
-            vec[0] = remaining
-            yield tuple(vec)
-        return
-    lo = max(0, remaining - tail_room[pos])
-    hi = min(caps[pos], remaining)
-    for c in range(lo, hi + 1):
-        vec[pos] = c
-        yield from _bounded_fill(vec, caps, tail_room, pos - 1, remaining - c)
-
-
-def _level_sum_fill(vec: list[int], j: int, remaining: int, weight: int) -> Iterator[tuple[int, ...]]:
-    """Fill vec[0..j] with ``remaining`` particles of level sum ``weight``, colex order.
-
-    Prunes on both remaining size and remaining sum: after fixing counts
-    at levels above j, a count c at level j is feasible iff the leftover
-    sum fits in the leftover slots at levels below j.
+    Of the r particles left, position p takes at least r - tail_room[p],
+    where tail_room[p] is the most the positions below it can hold, and
+    position 0 takes the rest.  The successor grows the lowest position
+    p >= 1 that is under its cap and has a particle below it.
     """
-    if j == 0:
-        if weight == 0:
-            vec[0] = remaining
-            yield tuple(vec)
+    m = len(caps)
+    tail_room = [0] * (m + 1)
+    for p in range(m):
+        tail_room[p + 1] = tail_room[p] + caps[p]
+    if k > tail_room[m] or min(caps) < 0:
         return
-    # leftover weight after taking c at level j must satisfy
-    # 0 <= weight - c*j <= (j-1)*(remaining - c)
-    lo = max(0, weight - (j - 1) * remaining)
-    hi = min(remaining, weight // j)
-    for c in range(lo, hi + 1):
-        vec[j] = c
-        yield from _level_sum_fill(vec, j - 1, remaining - c, weight - c * j)
+    vec = [0] * m
+    p, r = m, k  # refill every position below p with the r particles left
+    while True:
+        for l in range(p - 1, 0, -1):
+            c = r - tail_room[l]
+            if c > 0:
+                vec[l] = c
+                r -= c
+            else:
+                vec[l] = 0
+        vec[0] = r
+        yield tuple(vec)
+        p = 1
+        while p < m and (not r or vec[p] == caps[p]):
+            r += vec[p]
+            p += 1
+        if p == m:
+            return
+        vec[p] += 1
+        r -= 1
+
+
+def _level_sum_fill(n: int, k: int, i: int) -> Iterator[tuple[int, ...]]:
+    """The count vectors over levels 0..n-1 with ``k`` particles and level
+    sum ``i``, colex order; the space must be valid.
+
+    With r particles of sum w left for levels 0..l, level l takes at
+    least max(0, w - (l - 1) * r), the least that leaves a sum the levels
+    below it can carry, and levels 1 and 0 take w and r - w.  The
+    successor grows the lowest level j >= 2 with a sum of at least j
+    below it, since one more particle at j takes j from that sum.
+    """
+    if n == 1:
+        yield (k,)
+        return
+    vec = [0] * n
+    j, r, w = n, k, i  # refill every level below j with r particles of sum w
+    while True:
+        for l in range(j - 1, 1, -1):
+            c = w - (l - 1) * r
+            if c > 0:
+                vec[l] = c
+                r -= c
+                w -= l * c
+            else:
+                vec[l] = 0
+        vec[1] = w
+        vec[0] = r - w
+        yield tuple(vec)
+        j = 2
+        while j < n and w < j:
+            c = vec[j]
+            r += c
+            w += j * c
+            j += 1
+        if j == n:
+            return
+        vec[j] += 1
+        r -= 1
+        w -= j
 
 
 def enumerate_multisets(ground: GroundSet, k: int,
@@ -344,7 +387,9 @@ def enumerate_multisets(ground: GroundSet, k: int,
     """All multisets of size ``k`` over ``ground``, in canonical colex order.
 
     With ``caps``, restricts each label x to at most caps[x] occurrences,
-    which enumerates exactly the sub-multisets of size k of a given urn.
+    which enumerates exactly the sub-multisets of size k of a given urn;
+    each count vector is the colex successor of the one before under
+    those caps.
     Yields multichoose(len(ground), k) multisets in the unrestricted case.
     A negative size raises at the call, not at the first element.
     """
@@ -352,12 +397,7 @@ def enumerate_multisets(ground: GroundSet, k: int,
         raise ValueError("size must be a natural")
     m = len(ground)
     cap_vec = [k] * m if caps is None else [min(k, caps.get(x, 0)) for x in ground]
-    # tail_room[p] = cap_vec[0] + ... + cap_vec[p-1], the most the positions below p can hold
-    tail_room = [0] * (m + 1)
-    for p in range(m):
-        tail_room[p + 1] = tail_room[p] + cap_vec[p]
-    return (Multiset._from_vector(ground, vec)
-            for vec in _bounded_fill([0] * m, cap_vec, tail_room, m - 1, k))
+    return (Multiset._from_vector(ground, vec) for vec in _bounded_fill(cap_vec, k))
 
 
 def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> None:
@@ -390,13 +430,14 @@ def _count_with_sum(n: int, k: int, i: int) -> int:
 def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     """All multisets over levels 0..n-1 with size ``k`` and som ``i``.
 
-    Generated by bounded composition with remaining-size and
-    remaining-sum pruning, never by filtering the full size-k family.
-    Canonical colex order.  An invalid space raises at the call.
+    Each count vector is the colex successor of the one before, taken in
+    place under the remaining-size and remaining-sum bounds, never by
+    filtering the full size-k family.  Canonical colex order.  An invalid
+    space raises at the call.
     """
     _check_sum_space(n, k, i)
     ground = levels(n)
-    return (Multiset._from_vector(ground, vec) for vec in _level_sum_fill([0] * n, n - 1, k, i))
+    return (Multiset._from_vector(ground, vec) for vec in _level_sum_fill(n, k, i))
 
 
 # ---------------------------------------------------------------------------
