@@ -18,8 +18,8 @@ kept as its oracle.
 from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
-from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum
-from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
+from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum, multichoose
+from .nomials import DEFAULT_BUDGET, _rows_at, _sequences_with_sum, nomial
 
 __all__ = [
     "boltzmann_on_multisets",
@@ -47,17 +47,27 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     no weight, so for i < N the support stays within 0..i.  Above half
     the top sum, 2i > (N-1)K, the weights are read from the shorter side
     of the palindromic row K-1, C_N(K-1, i-j) = C_N(K-1, T'-i+j) with
-    T' = (N-1)(K-1), so the row step costs O(K*min(i, (N-1)K - i)).  The
-    support stays in ascending level order.
+    T' = (N-1)(K-1), so the row step costs O(K*w) with
+    w = min(i, (N-1)K - i).  At or above N (w >= N) the normalizer
+    C_N(K, w) is the next row of the same pass, so the exact-sum check
+    in ``Dist`` holds the row step against itself; below N the weights
+    are the closed-form row and the normalizer is multichoose(K, w), an
+    independent closed form.  The support stays in ascending level order.
     """
     _check_sum_space(n, k, i, k_min=1)
     top = (n - 1) * (k - 1)
     lo, hi = max(0, i - top), min(n - 1, i)
-    if 2 * i > (n - 1) * k:
-        weights = _row(n, k - 1, top - i + hi)[top - i + lo:]  # C_N(K-1, T'-i+lo..T'-i+hi)
+    w = min(i, (n - 1) * k - i)
+    if w < n:
+        row, total = _rows_at(n, w, (k - 1,))[k - 1], multichoose(k, w)
     else:
-        weights = reversed(_row(n, k - 1, i)[i - hi:i - lo + 1])  # C_N(K-1, i-hi..i-lo)
-    return Dist(zip(range(lo, hi + 1), weights), nomial(n, k, i))
+        rows = _rows_at(n, w, (k - 1, k))
+        row, total = rows[k - 1], rows[k][w]
+    if 2 * i > (n - 1) * k:
+        weights = row[top - i + lo:]  # C_N(K-1, T'-i+lo..T'-i+hi)
+    else:
+        weights = reversed(row[i - hi:i - lo + 1])  # C_N(K-1, i-hi..i-lo)
+    return Dist(zip(range(lo, hi + 1), weights), total)
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:

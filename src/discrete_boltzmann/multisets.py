@@ -142,13 +142,13 @@ class Multiset:
             vec[ground.index(label)] += n
         self._ground = ground
         self._vec = tuple(vec)
-        self._hash = hash((ground, self._vec))
+        self._hash = hash((ground._labels, self._vec))  # == hash((ground, vec)), one call fewer
 
     @classmethod
     def _from_vector(cls, ground: GroundSet, vec: tuple[int, ...]) -> "Multiset":
         """Trusted constructor: ``vec`` is a tuple of naturals in ground order."""
         phi = object.__new__(cls)
-        phi._ground, phi._vec, phi._hash = ground, vec, hash((ground, vec))
+        phi._ground, phi._vec, phi._hash = ground, vec, hash((ground._labels, vec))
         return phi
 
     @property

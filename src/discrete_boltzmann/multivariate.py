@@ -34,7 +34,7 @@ from .multisets import (
     leq,
     multichoose,
 )
-from .nomials import _rows, nomial
+from .nomials import _rows_at, nomial
 
 __all__ = [
     "mult_binom",
@@ -113,7 +113,7 @@ def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
     _check_sum_space(n, total_size, i, k_min=1)
     caps = {x: (n - 1) * c for x, c in psi.items()}
     sizes = psi.counts_vector()
-    rows = {k: row for k, row in zip(range(max(sizes) + 1), _rows(n, i)) if k in sizes}
+    rows = _rows_at(n, i, sizes)
     label_rows = [rows[c] for c in sizes]  # C_N(psi(x), 0..i) for each label x
     return Dist(((phi, math.prod(map(getitem, label_rows, phi.counts_vector())))
                  for phi in enumerate_multisets(psi.ground, i, caps=caps)),

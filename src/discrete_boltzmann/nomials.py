@@ -9,10 +9,15 @@ i < N) agree wherever their preconditions overlap; tests and the
 verification sweep hold them against each other.
 
 Row K of the triangle, the coefficients of (1 + x + ... + x^(N-1))^K,
-comes from row K-1 by the sliding-window step ``_rows`` at or above N;
-below N, ``_row`` returns the closed-form row multichoose(K, 0..width).
-The recursion, the polynomial expansion, ``NomialTable``, the Vandermonde
-split and the callers in other modules that need a row read these rows.
+comes from row K-1 by the sliding-window step ``_rows``.  The recursion
+and ``NomialTable`` read that window directly; every other reader, the
+callers in other modules included, asks ``_rows_at`` for the rows it
+needs.  Cut at N or more, ``_rows_at`` reads all of them from one pass of
+the window: the Vandermonde split its rows K1, K2 and K1+K2, the numbers
+family (``boltzmann.boltzmann_on_numbers``) its weights row K-1 and its
+normalizer row K.  Cut below N it returns the closed-form rows
+multichoose(K, 0..width) instead, and the numbers family takes its
+normalizer from ``multichoose``, which shares no code with the rows.
 
 Every row is a palindrome: level reversal j -> N-1-j preserves multiset
 coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from operator import sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .multisets import (
     _check_sum_space,
@@ -86,7 +91,7 @@ def nomial_recursive(n: int, k: int, i: int) -> int:
     admissible next entries j < min(level+1, N).  Rows are built in
     increasing size order (so no recursion depth limit applies) and cut
     at level i, so the whole evaluation costs O(K*i) additions.  It
-    reads the window at every i, never ``_row``'s closed form below N.
+    reads the window at every i, never ``_rows_at``'s closed form below N.
     """
     _check_sum_space(n, k, i)
     return next(itertools.islice(_rows(n, i), k, None))[i]
@@ -146,8 +151,8 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
     Row K is a sliding window of N entries over row K-1: each entry adds
     the one entering the window and subtracts the one leaving it,
     C_N(K, i) = C_N(K, i-1) + C_N(K-1, i) - C_N(K-1, i-N), so each cell
-    costs O(1).  It computes every row at or above N; below N, ``_row``
-    returns the closed-form row instead.
+    costs O(1).  ``_rows_at`` reads it at or above N and uses the
+    closed-form rows below N.
     """
     row = [1]
     for k in itertools.count(1):
@@ -157,15 +162,23 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
         row = list(itertools.accumulate(map(sub, padded, itertools.chain([0] * n, padded))))
 
 
-def _row(n: int, k: int, width: int) -> list[int]:
-    """Row K of ``_rows(n, width)``; below N (width < N) the closed-form
-    row multichoose(K, 0..min(width, (N-1)K)), by one running product."""
+def _rows_at(n: int, width: int, ks: Iterable[int]) -> dict[int, list[int]]:
+    """Rows K in ``ks`` of ``_rows(n, width)``, each cut at ``width``, keyed by K.
+
+    At or above N (width >= N) they all come from one pass of the
+    window, which stops at the largest K asked for; below N they are the
+    closed-form rows multichoose(K, 0..min(width, (N-1)K)), one running
+    product each.
+    """
+    wanted = set(ks)
     if width >= n:
-        return next(itertools.islice(_rows(n, width), k, None))
-    row = [1]
-    for t in range(min(width, (n - 1) * k)):
-        row.append(row[-1] * (k + t) // (t + 1))
-    return row
+        return {k: row for k, row in zip(range(max(wanted) + 1), _rows(n, width)) if k in wanted}
+    rows = {}
+    for k in wanted:
+        row = rows[k] = [1]
+        for t in range(min(width, (n - 1) * k)):
+            row.append(row[-1] * (k + t) // (t + 1))
+    return rows
 
 
 def polynomial_expand(n: int, k: int) -> list[int]:
@@ -175,26 +188,29 @@ def polynomial_expand(n: int, k: int) -> list[int]:
     route, read as the full row K of the shared sliding-window step.
     """
     _check_sum_space(n, k, 0)
-    return _row(n, k, (n - 1) * k)
+    return _rows_at(n, (n - 1) * k, (k,))[k]
 
 
 def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?
 
-    The rows are cut at min(i, T - i) with T = (N-1)(K1+K2), at
-    O((K1+K2)*min(i, T - i)) cost.  Reflecting every level maps the split
-    at i term by term onto the split at T - i (i1 -> (N-1)K1 - i1), so
-    both cuts check the same sum.
+    The rows K1, K2 and K1+K2 are cut at min(i, T - i) with
+    T = (N-1)(K1+K2) and read from one pass of the row step, at
+    O((K1+K2)*min(i, T - i)) cost (below N, from the closed form).  So
+    the check holds the window's row K1+K2 against the convolution of
+    its own earlier rows.  Reflecting every level maps the split at i
+    term by term onto the split at T - i (i1 -> (N-1)K1 - i1), so both
+    cuts check the same sum.
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("lengths must be naturals")
     _check_sum_space(n, k1 + k2, i)
     i = min(i, (n - 1) * (k1 + k2) - i)
-    rows = {k: row for k, row in zip(range(max(k1, k2) + 1), _rows(n, i)) if k in (k1, k2)}
+    rows = _rows_at(n, i, (k1, k2, k1 + k2))
     lo = max(0, i - (n - 1) * k2)
     hi = min((n - 1) * k1, i)
     split = sum(rows[k1][i1] * rows[k2][i - i1] for i1 in range(lo, hi + 1))
-    return nomial(n, k1 + k2, i) == split
+    return rows[k1 + k2][i] == split
 
 
 class NomialTable:

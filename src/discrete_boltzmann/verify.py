@@ -64,6 +64,7 @@ from .nomials import (
     nomial_recursive,
     nomial_via_multisets,
     polynomial_expand,
+    vandermonde_check,
 )
 
 __all__ = ["CheckResult", "run_all"]
@@ -210,7 +211,6 @@ def _nomial_row_laws(max_levels: int, max_size: int) -> str:
 
 
 def _nomial_vandermonde(max_levels: int, max_size: int) -> str:
-    from .nomials import vandermonde_check
     for n in range(1, max_levels + 1):
         for k1 in range(max_size + 1):
             for k2 in range(max_size + 1 - k1):

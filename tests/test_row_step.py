@@ -29,7 +29,8 @@ from discrete_boltzmann import (
     polynomial_expand,
     vandermonde_check,
 )
-from discrete_boltzmann.nomials import _row, _rows
+from discrete_boltzmann import boltzmann, nomials
+from discrete_boltzmann.nomials import _rows, _rows_at
 
 LEVELS = (1, 2, 3, 4, 5, 7, 10, 16, 23, 30)
 LENGTHS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100)
@@ -151,7 +152,7 @@ class TestClosedFormRow:
             for k in range(31):
                 for w in range(n):
                     window = next(itertools.islice(_rows(n, w), k, None))
-                    assert _row(n, k, w) == window, (n, k, w)
+                    assert _rows_at(n, w, (k,))[k] == window, (n, k, w)
 
     @staticmethod
     def per_weight_numbers(n: int, k: int, i: int) -> Dist:
@@ -164,3 +165,42 @@ class TestClosedFormRow:
     def test_numbers_family_below_n_at_large_size(self, n, k, i):
         got, expected = boltzmann_on_numbers(n, k, i), self.per_weight_numbers(n, k, i)
         assert got == expected and got.support == expected.support
+
+
+class TestOnePass:
+    """Each reader makes at most one pass of the row step per call."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(n, width):
+            calls.append((n, width))
+            return _rows(n, width)
+
+        monkeypatch.setattr(nomials, "_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("i", [1450, 2000])
+    def test_numbers_family_at_or_above_n(self, passes, i):
+        boltzmann_on_numbers(30, 100, i)  # T = 2900: at T/2 and on the mirrored side
+        assert passes == [(30, min(i, 2900 - i))]
+
+    def test_vandermonde_split(self, passes):
+        assert vandermonde_check(30, 60, 40, 1450) is True
+        assert passes == [(30, 1450)]
+
+    def test_numbers_family_below_n(self, passes, monkeypatch):
+        normalizers = []
+
+        def counted(m, j):
+            normalizers.append((m, j))
+            return math.comb(m + j - 1, j)
+
+        monkeypatch.setattr(boltzmann, "multichoose", counted)
+        boltzmann_on_numbers(2001, 1000, 2000)
+        assert passes == [] and normalizers == [(1000, 2000)]
+
+    def test_recursion_still_reads_the_window(self, passes):
+        assert nomial_recursive(4, 5, 2) == oracle(4, 5, 2)
+        assert passes == [(4, 2)]
