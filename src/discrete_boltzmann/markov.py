@@ -5,8 +5,11 @@ random particle one level up, so both the particle count and the total
 energy are conserved.  The Boltzmann family on multisets is a fixed
 point of this kernel; pulling the kernel through frequentist learning
 and its Bayesian inversion gives a chain on levels with the Boltzmann
-family on numbers as fixed point.  All equilibrium checks here are
-exact rational computations, never tolerance-based.
+family on numbers as fixed point.  Both chains are reversible: the
+climb is the reversal of the drop under the Boltzmann law, so each
+chain satisfies detailed balance with its Boltzmann family.  All
+equilibrium checks here are exact rational computations, never
+tolerance-based.
 
 The kernel is the composite of two channels, P = (phi(0)/K) I + D C: the
 drop D moves a particle from level d >= 1 to d - 1 with weight phi(d)/K,
@@ -312,7 +315,9 @@ def shift_on_numbers(n: int, k: int, i: int) -> Channel:
 
     Row j pushes the flrn-dagger prior coefficient(phi) * phi(j) once
     through the compiled shift chain and reads the level counts of the
-    result over K times its denominator.
+    result over K times its denominator.  The chain is reversible: with
+    rho = ``boltzmann_on_numbers(n, k, i)``, rho(j) Q(j, j') =
+    rho(j') Q(j', j) on every pair of levels.
     """
     chain = _ShiftChain(n, k, i)
     columns = list(zip(*(phi.counts_vector() for phi in chain.states)))

@@ -14,7 +14,10 @@ from an urn psi:
 
 All three push forward along frequentist learning to flrn(psi) exactly.
 A Boltzmann family on tuples of configurations, one per particle kind,
-closes the construction.
+closes the construction.  Read on levels through frequentist learning,
+that family is one N-nomial row, C_N(K - L, i - sum_x j_x) / C_N(K, i)
+on the level tuples (j_x) with K = |psi| and L kinds, so
+``boltzmann_multi_on_levels`` enumerates no configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 import math
 from operator import getitem
 
-from .distributions import Channel, Dist, flrn, pushforward
+from .distributions import Dist
 from .multisets import (
     Multiset,
     _check_sum_space,
@@ -146,15 +149,25 @@ def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
 def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
     """Per-kind level of a random particle: the tuple family pushed
     through frequentist learning componentwise.  Every kind must hold at
-    least one particle."""
+    least one particle.
+
+    By the flrn-dagger denominator law a kind x of psi(x) particles and
+    energy e has level j with count C_N(psi(x) - 1, e - j); the
+    multivariate Vandermonde split folds the energy splits together, so
+    the level tuple (j_x) of level sum s weighs C_N(K - L, i - s) over
+    C_N(K, i), with K = |psi| and L kinds.  The tuples come by s
+    ascending, then in colex order within s, each entry at most N - 1.
+    The normalizer is ``nomial(n, K, i)``, so the exact-sum check in
+    ``Dist`` is the Vandermonde identity
+    sum_s C_N(L, s) * C_N(K - L, i - s) = C_N(K, i) on every call.
+    """
     if any(psi(x) < 1 for x in psi.ground):
         raise ValueError("componentwise learning needs psi(x) >= 1 on every kind")
-    kernel = Channel(lambda combo: _independent_product([flrn(c) for c in combo]))
-    return pushforward(kernel, boltzmann_multi(n, psi, i))
-
-
-def _independent_product(dists: list[Dist]) -> Dist:
-    pairs = [((), 1)]
-    for d in dists:
-        pairs = [(xs + (y,), p * q) for xs, p in pairs for y, q in d.numerators()]
-    return Dist(pairs, math.prod(d.denominator for d in dists))
+    k, kinds = psi.size, len(psi.ground)
+    _check_sum_space(n, k, i, k_min=1)
+    rest = _rows_at(n, i, (k - kinds,))[k - kinds]  # C_N(K - L, 0..i)
+    caps = {x: n - 1 for x in psi.ground}
+    return Dist(((phi.counts_vector(), rest[i - s])
+                 for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1)
+                 for phi in enumerate_multisets(psi.ground, s, caps=caps)),
+                nomial(n, k, i))

@@ -353,10 +353,16 @@ def _shift_stationarity(max_levels: int, max_size: int) -> str:
 
 
 def _numbers_chain_stationarity(max_levels: int, max_size: int) -> str:
+    """Stationarity by one push, and detailed balance
+    rho(a) * Q(a, b) = rho(b) * Q(b, a) on every level pair of the same rows."""
     for n, k, i in _spaces(max_levels, min(max_size, 4)):
         bn = boltzmann_on_numbers(n, k, i)
-        if pushforward(shift_on_numbers(n, k, i), bn) != bn:
+        chain = shift_on_numbers(n, k, i)
+        if pushforward(chain, bn) != bn:
             _fail(f"numbers family not stationary at ({n},{k},{i})")
+        for a, b in itertools.combinations(bn.support, 2):
+            if bn(a) * chain(a)(b) != bn(b) * chain(b)(a):
+                _fail(f"level chain fails detailed balance at ({n},{k},{i}) between {a} and {b}")
     return "Boltzmann-on-numbers is a fixed point of the level chain"
 
 

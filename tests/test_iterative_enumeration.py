@@ -7,7 +7,9 @@ copies of what they replaced: the recursive fills, the tuple compile of
 the drop and climb factors, and ``coefficient`` read from the items.
 Detailed balance of every small transition matrix against the Boltzmann
 law on multisets is a second certificate of the compiled rows, one that
-does not pass through ``push``.
+does not pass through ``push``; detailed balance of every small level
+chain against the Boltzmann law on numbers certifies its rows the same
+way.
 """
 
 import itertools
@@ -16,9 +18,11 @@ import math
 from discrete_boltzmann import (
     GroundSet,
     boltzmann_on_multisets,
+    boltzmann_on_numbers,
     coefficient,
     enumerate_multisets,
     enumerate_multisets_with_sum,
+    shift_on_numbers,
     transition_matrix,
 )
 from discrete_boltzmann.markov import _ShiftChain
@@ -166,6 +170,17 @@ class TestDetailedBalance:
             for j, l in itertools.combinations(range(len(states)), 2):
                 assert weights[j] * rows[j][l] == weights[l] * rows[l][j], (n, k, i, j, l)
                 pairs += bool(rows[j][l])
+        assert pairs > 1000
+
+    def test_every_level_chain_up_to_six_levels_and_particles(self):
+        pairs = 0
+        for n, k, i in spaces(6, 6, min_size=1):
+            rho = boltzmann_on_numbers(n, k, i)
+            chain = shift_on_numbers(n, k, i)
+            for a, b in itertools.combinations(rho.support, 2):
+                flow = rho(a) * chain(a)(b)
+                assert flow == rho(b) * chain(b)(a), (n, k, i, a, b)
+                pairs += bool(flow)
         assert pairs > 1000
 
 

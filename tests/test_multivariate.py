@@ -24,6 +24,7 @@ from discrete_boltzmann import (
     image,
     leq,
     levels,
+    microstate_uniform,
     mult_binom,
     mult_multichoose,
     multichoose,
@@ -35,6 +36,7 @@ from discrete_boltzmann import (
     polya,
     pushforward,
 )
+from discrete_boltzmann import multivariate
 
 F = Fraction
 
@@ -275,3 +277,105 @@ class TestBoltzmannMulti:
         psi = parse_multiset("2|a>", ground)
         with pytest.raises(ValueError):
             boltzmann_multi_on_levels(3, psi, 2)
+
+
+def flrn_product_route(n, psi, i):
+    """The per-kind level family as first built: every tuple of
+    ``boltzmann_multi`` pushed through a product of flrn laws."""
+    def independent_product(combo):
+        dists = [flrn(c) for c in combo]
+        pairs = [((), 1)]
+        for d in dists:
+            pairs = [(xs + (y,), p * q) for xs, p in pairs for y, q in d.numerators()]
+        return Dist(pairs, math.prod(d.denominator for d in dists))
+
+    return pushforward(Channel(independent_product), boltzmann_multi(n, psi, i))
+
+
+def kinds(*sizes):
+    ground = GroundSet([f"x{j}" for j in range(len(sizes))])
+    return Multiset(ground, dict(zip(ground.labels, sizes)))
+
+
+class TestLevelFamilyRow:
+    """The per-kind level family read from one N-nomial row: the level
+    tuple (j_x) weighs C_N(K - L, i - sum_x j_x) / C_N(K, i)."""
+
+    @pytest.mark.parametrize("n, counts", [
+        (3, {"a": 2, "b": 3}),
+        (1, {"a": 2, "b": 1}),
+        (2, {"a": 1, "b": 1, "c": 1}),
+        (5, {"z": 3}),
+    ])
+    def test_against_flrn_product_route(self, n, counts):
+        psi = Multiset(GroundSet(list(counts)), counts)
+        for i in range((n - 1) * psi.size + 1):
+            assert boltzmann_multi_on_levels(n, psi, i) == flrn_product_route(n, psi, i), (n, counts, i)
+
+    @pytest.mark.parametrize("i", [0, 12, 36])
+    def test_against_flrn_product_route_three_kinds_of_four(self, i):
+        psi = kinds(4, 4, 4)
+        assert boltzmann_multi_on_levels(4, psi, i) == flrn_product_route(4, psi, i)
+
+    @pytest.mark.parametrize("n, sizes, sums", [
+        (2, (3, 2, 1), None),
+        (3, (2, 3), None),
+        (4, (1, 1, 1), None),
+        (4, (2, 2, 2, 1), None),
+        (3, (4, 4, 3), (0, 11, 22)),
+    ])
+    def test_microstate_marginal(self, n, sizes, sums):
+        psi = kinds(*sizes)
+        k, width = psi.size, len(sizes)
+        assert n ** k <= 2 * 10 ** 5
+        for i in sums or range((n - 1) * k + 1):
+            marginal = image(microstate_uniform(n, k, i), lambda v: v[:width])
+            assert boltzmann_multi_on_levels(n, psi, i) == marginal, (n, sizes, i)
+
+    def test_one_kind_is_the_numbers_family(self):
+        for n in range(1, 7):
+            for k in range(1, 8):
+                for i in range((n - 1) * k + 1):
+                    got = boltzmann_multi_on_levels(n, kinds(k), i)
+                    expected = boltzmann_on_numbers(n, k, i)
+                    assert image(got, lambda t: t[0]) == expected, (n, k, i)
+                    assert [t[0] for t in got.support] == list(expected.support), (n, k, i)
+
+    @pytest.mark.parametrize("n, sizes", [
+        (3, (2, 3)), (4, (1, 2)), (5, (3, 3)), (3, (1, 1, 1)), (4, (2, 1, 3)), (2, (2, 2, 2)),
+    ])
+    def test_order_and_support(self, n, sizes):
+        """Level sum ascending, then colex (the reversed tuples ascending);
+        the support is every tuple of entries below N whose rest
+        C_N(K - L, i - s) is nonzero."""
+        psi = kinds(*sizes)
+        k, width = psi.size, len(sizes)
+        for i in range((n - 1) * k + 1):
+            support = boltzmann_multi_on_levels(n, psi, i).support
+            assert list(support) == sorted(support, key=lambda t: (sum(t), t[::-1])), (n, sizes, i)
+            expected = {t for t in itertools.product(range(n), repeat=width)
+                        if 0 <= i - sum(t) <= (n - 1) * (k - width)}
+            assert set(support) == expected, (n, sizes, i)
+
+    def test_out_of_range_message(self):
+        with pytest.raises(ValueError, match=r"^sum 5 out of range \[0, 4\] for N=3, K=2$"):
+            boltzmann_multi_on_levels(3, kinds(1, 1), 5)
+
+    def test_unoccupied_kind_message(self):
+        with pytest.raises(ValueError, match=r"^componentwise learning needs psi\(x\) >= 1 on every kind$"):
+            boltzmann_multi_on_levels(3, kinds(2, 0), 2)
+
+    def test_no_configuration_is_enumerated(self, monkeypatch):
+        psi = kinds(5, 5, 4)
+        expected = boltzmann_multi_on_levels(5, psi, 28)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the level family enumerated configurations")
+
+        monkeypatch.setattr(multivariate, "boltzmann_multi", refuse)
+        monkeypatch.setattr(multivariate, "enumerate_multisets_with_sum", refuse)
+        for i in (0, 14, 28, 56):
+            got = boltzmann_multi_on_levels(5, psi, i)
+            assert all(max(t) <= 4 for t in got.support)
+        assert boltzmann_multi_on_levels(5, psi, 28) == expected
+        assert len(expected) == 5 ** 3
