@@ -22,6 +22,11 @@ Floats enter the library only here and in entropy/KL.  Wherever a float
 weight feeds a distribution it is turned into a rational first (exactly,
 or for the max-entropy base as one of its convergents) and normalized in
 exact arithmetic, so every returned ``Dist`` still sums to exactly 1.
+
+``compare`` reads each distinct candidate once, and takes each
+candidate's KL and total variation from one set of cross products with
+the reference; every value equals, bit for bit, the standalone ``mean``,
+``entropy``, ``kl_divergence`` and ``total_variation``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,18 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .boltzmann import boltzmann_on_energy
-from .distributions import Dist, entropy, kl_divergence, mean, point, total_variation, uniform
+from .distributions import (
+    Dist,
+    _cross_products,
+    _entropy,
+    _floats,
+    _kl,
+    _total_variation,
+    entropy,
+    mean,
+    point,
+    uniform,
+)
 
 Rational = Union[int, Fraction]
 
@@ -103,8 +119,9 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
             k = round(y / _LN2)
             m, d = math.exp(float(k * _LN2 - y)).as_integer_ratio()
             ratios.append((m, d << k))
-    scale = max(d for _, d in ratios)
-    weights = [m * (scale // d) for m, d in ratios]
+    # every denominator is a power of two, so scaling to the largest is a shift
+    top = max(d for _, d in ratios).bit_length()
+    weights = [m << (top - d.bit_length()) for m, d in ratios]
     return Dist(enumerate(weights), sum(weights))
 
 
@@ -259,34 +276,45 @@ class ApproxReport(NamedTuple):
 
 
 def compare(e: int, k: int) -> ApproxReport:
-    """Exact reference at (E, K) against all three discrete candidates."""
+    """Exact reference at (E, K) against all three discrete candidates.
+
+    Each distinct candidate is read once: candidates that are equal
+    ``Dist``s share one set of statistics, as the ratio and max-entropy
+    laws do whenever the solver keeps the convergent mu/(mu + 1).  The reference's float weights are computed once for its
+    entropy and every KL, and each candidate's KL and total variation come
+    from one set of cross products with the reference.
+    """
     reference = boltzmann_on_energy(e, k)
     mu = Fraction(e, k)
     maxent, s = max_entropy_dist(e, mu)
-    named = [
+    floats = _floats(reference)
+    candidates: list[CandidateReport] = []
+    for name, dist in [
         ("ratio", ratio_approx(e, mu)),
         ("discrete-exponential", discrete_exponential(e, mu)),
         ("max-entropy", maxent),
-    ]
-    candidates = tuple(
-        CandidateReport(
-            name=name,
-            dist=dist,
-            mean=mean(dist),
-            entropy=entropy(dist),
-            kl_from_reference=kl_divergence(reference, dist),
-            total_variation=total_variation(reference, dist),
-        )
-        for name, dist in named
-    )
+    ]:
+        seen = next((c for c in candidates if c.dist == dist), None)
+        if seen is None:
+            cross = _cross_products(reference, dist)
+            candidates.append(CandidateReport(
+                name=name,
+                dist=dist,
+                mean=mean(dist),
+                entropy=entropy(dist),
+                kl_from_reference=_kl(reference, floats, cross),
+                total_variation=_total_variation(reference, dist, cross),
+            ))
+        else:
+            candidates.append(seen._replace(name=name, dist=dist))
     return ApproxReport(
         energy=e,
         particles=k,
         mu=mu,
         reference=reference,
         reference_mean=mean(reference),
-        reference_entropy=entropy(reference),
-        candidates=candidates,
+        reference_entropy=_entropy(floats),
+        candidates=tuple(candidates),
         max_entropy_base=s,
         continuous_rate=float(1 / mu),
     )

@@ -4,8 +4,15 @@ A ``Dist`` stores integer numerators over one common denominator in
 lowest terms, the form of the paper's counts over their normalizer.
 ``Dist(counts, total)`` fails unless the counts sum to ``total``, so
 every family re-proves its normalization in one integer comparison.
+Weights are scaled to the lcm of their denominators; when every weight
+is whole (an int, or a ``Fraction`` with denominator 1, as the counts of
+every family are) the lcm is 1 and each weight's numerator is stored as
+it is, with no per-element scaling.
 The only floating-point outputs here are ``entropy`` and
-``kl_divergence`` (natural-log convention, 0*ln 0 = 0).
+``kl_divergence`` (natural-log convention, 0*ln 0 = 0).  KL and the
+total variation read one private walk of the cross products n * D and
+N * m of omega = n/N and rho = m/D, so a caller that needs both, as
+``approx.compare`` does, multiplies each pair once.
 
 Support elements may be numbers, labels, multisets, or tuples; elements
 are merged by equality.  Iteration order is the (deterministic) order
@@ -15,7 +22,9 @@ constructors is the canonical multiset order.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
@@ -55,7 +64,9 @@ class Dist:
             if p < 0:
                 raise ValueError(f"negative weight {p} on {x!r}")
             if p:
-                num[x] = num.get(x, 0) + p.numerator * (scale // p.denominator)
+                # whole weights (every denominator 1) are their numerators
+                num[x] = num.get(x, 0) + (p.numerator if scale == 1
+                                          else p.numerator * (scale // p.denominator))
         den = total * scale
         if not num or sum(num.values()) != den:
             raise ValueError("weights must sum to exactly 1")
@@ -177,7 +188,13 @@ def multiset_coefficient_distribution(ground: GroundSet, k: int) -> Dist:
                 len(ground) ** k)
 
 
+# the exact types of a numeric support; bool, an int subclass, is not one
+_NUMERIC = {int, Fraction}
+
+
 def _require_numeric(omega: Dist, what: str):
+    if set(map(type, omega._num)) <= _NUMERIC:
+        return
     for x in omega:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise ValueError(f"{what} requires numeric support, got {x!r}")
@@ -193,13 +210,64 @@ def variance(omega: Dist) -> Fraction:
     return Fraction(sum(n * x * x for x, n in omega._num.items()), omega._den) - mean(omega) ** 2
 
 
+def _floats(omega: Dist) -> list[float]:
+    """The weights n/N of ``omega`` as floats, in support order."""
+    den = omega._den
+    return [n / den for n in omega._num.values()]
+
+
+def _entropy(floats: list[float]) -> float:
+    """-sum p ln p over ``_floats(omega)``, skipping a weight that underflows to 0.0."""
+    return 0.0 - sum(p * math.log(p) for p in floats if p)
+
+
 def entropy(omega: Dist) -> float:
     """Shannon entropy in nats: -sum p ln p (no zero weights are stored).
 
     A weight whose float underflows to 0.0 is skipped: its p ln p term
     is far below half an ulp of the sum.  A point mass gives 0.0, not -0.0.
     """
-    return 0.0 - sum(p * math.log(p) for p in (n / omega._den for n in omega._num.values()) if p)
+    return _entropy(_floats(omega))
+
+
+# the cross products a and b over omega's support, in order
+_Cross = tuple[list[int], list[int]]
+
+
+def _cross_products(omega: Dist, rho: Dist) -> _Cross:
+    """The one walk that KL and the total variation read: over omega's
+    support, in order, the cross products a = n * D and b = N * m, for
+    omega = n/N and rho = m/D.  Where rho holds no weight m is 0, and so
+    is b, since a ``Dist`` stores no zero weight."""
+    big_n, big_d = omega._den, rho._den
+    return ([n * big_d for n in omega._num.values()],
+            [big_n * m for m in map(rho._num.get, omega._num, itertools.repeat(0))])
+
+
+def _kl(omega: Dist, floats: list[float], cross: _Cross) -> float:
+    """KL(omega || rho) from omega's ``_floats`` and ``_cross_products(omega, rho)``."""
+    a_s, b_s = cross
+    if 0 in b_s:
+        x = next(x for x, b in zip(omega._num, b_s) if not b)
+        raise ValueError(f"KL undefined: {x!r} outside the second support")
+    out = 0.0
+    log = math.log
+    for p, a, b in zip(floats, a_s, b_s):
+        if p:
+            try:
+                out += p * log(a / b)
+            except OverflowError:
+                out += p * (log(a) - log(b))
+    return out
+
+
+def _total_variation(omega: Dist, rho: Dist, cross: _Cross) -> Fraction:
+    """The total variation from ``_cross_products(omega, rho)``: |a - b| over
+    omega's support; the b over all of rho's support sum to N * D, so the
+    elements rho holds alone add N * D - sum(b)."""
+    a_s, b_s = cross
+    nd = omega._den * rho._den
+    return Fraction(sum(map(abs, map(operator.sub, a_s, b_s))) + nd - sum(b_s), 2 * nd)
 
 
 def kl_divergence(omega: Dist, rho: Dist) -> float:
@@ -208,24 +276,9 @@ def kl_divergence(omega: Dist, rho: Dist) -> float:
     As in ``entropy``, a term whose float p underflows to 0.0 is skipped.
     A ratio p/q beyond the float range takes its log from the integers.
     """
-    out = 0.0
-    for x, n in omega._num.items():
-        m = rho._num.get(x)
-        if m is None:
-            raise ValueError(f"KL undefined: {x!r} outside the second support")
-        p = n / omega._den
-        if p:
-            a, b = n * rho._den, omega._den * m
-            try:
-                out += p * math.log(a / b)
-            except OverflowError:
-                out += p * (math.log(a) - math.log(b))
-    return out
+    return _kl(omega, _floats(omega), _cross_products(omega, rho))
 
 
 def total_variation(omega: Dist, rho: Dist) -> Fraction:
     """Exact total variation distance (1/2) * sum |omega - rho|."""
-    a, b = omega._den, rho._den
-    diff = sum(abs(omega._num.get(x, 0) * b - rho._num.get(x, 0) * a)
-               for x in omega._num.keys() | rho._num.keys())
-    return Fraction(diff, 2 * a * b)
+    return _total_variation(omega, rho, _cross_products(omega, rho))

@@ -190,6 +190,11 @@ class _ShiftChain(Channel):
     ``push`` is two sparse passes; ``row(j)`` is the merged row of
     ``shift`` from state j in lowest terms, and calling the channel gives
     it as a ``Dist``.
+
+    The chain is reversible under the Boltzmann law pi on multisets: the
+    climb is the pi-reversal of the drop, so pi(phi) * P(phi, phi') =
+    pi(phi') * P(phi', phi) for every pair of states, which
+    ``verify`` checks on these rows.
     """
 
     __slots__ = ("ground", "space", "states", "index", "stay", "drops", "climbs")

@@ -345,10 +345,23 @@ def _shift_conservation(max_levels: int, max_size: int) -> str:
 
 
 def _shift_stationarity(max_levels: int, max_size: int) -> str:
+    """Stationarity by one push, and detailed balance
+    pi(phi) * P(phi, phi') = pi(phi') * P(phi', phi) on the rows of the same
+    compiled chain, cross-multiplied over the law's and the rows' denominators."""
     for n, k, i in _spaces(max_levels, max_size):
-        residual = stationarity_residual(boltzmann_on_multisets(n, k, i), shift_channel(n, k, i))
+        law = boltzmann_on_multisets(n, k, i)
+        chain = shift_channel(n, k, i)
+        residual = stationarity_residual(law, chain)
         if residual != 0:
             _fail(f"multiset family not stationary at ({n},{k},{i}): {residual}")
+        pi = chain.vector(law)
+        rows = [chain.row(j) for j in range(len(pi))]
+        back = [dict(zip(targets, nums)) for targets, nums, _ in rows]
+        for j, (targets, nums, den) in enumerate(rows):
+            for t, x in zip(targets, nums):
+                if pi[j] * x * rows[t][2] != pi[t] * back[t].get(j, 0) * den:
+                    _fail(f"shift chain fails detailed balance at ({n},{k},{i}) between "
+                          f"{chain.states[j]} and {chain.states[t]}")
     return "Boltzmann-on-multisets is a fixed point"
 
 
