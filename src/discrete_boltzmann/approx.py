@@ -68,7 +68,7 @@ def _geometric(e: int, p: int, q: int) -> Dist:
     weights = [q ** e]
     for _ in range(e):
         weights.append(weights[-1] // q * p)
-    return Dist(enumerate(weights), sum(weights))
+    return Dist._from_counts(range(e + 1), weights, sum(weights))
 
 
 def ratio_approx(e: int, mu: Rational) -> Dist:
@@ -122,7 +122,7 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
     # every denominator is a power of two, so scaling to the largest is a shift
     top = max(d for _, d in ratios).bit_length()
     weights = [m << (top - d.bit_length()) for m, d in ratios]
-    return Dist(enumerate(weights), sum(weights))
+    return Dist._from_counts(range(e + 1), weights, sum(weights))
 
 
 def _solve_base(e: int, mu: float) -> float:
@@ -131,18 +131,20 @@ def _solve_base(e: int, mu: float) -> float:
     The coefficients change sign once, so the positive root is unique,
     and f(0) = -mu < 0 < f(1) = (E + 1)(E/2 - mu) puts it in (0, 1).
     From the seed mu/(mu+1), each pass evaluates f and f' in one Horner
-    sweep, moves the bracket end that has the sign of f(x) to x, and
-    steps to the Newton iterate if it lies strictly inside the bracket,
-    else to the midpoint.  Every pass moves an end strictly inward, so
+    sweep over the coefficients j - mu (computed once per call), moves
+    the bracket end that has the sign of f(x) to x, and steps to the
+    Newton iterate if it lies strictly inside the bracket, else to the
+    midpoint.  Every pass moves an end strictly inward, so
     the loop ends; it stops once the step is within a few ulp of the
     iterate (for a midpoint the step is half the bracket).
     """
     lo, hi, x = 0.0, 1.0, mu / (mu + 1.0)
+    coefficients = [j - mu for j in range(e, -1, -1)]
     while True:
         fx = dfx = 0.0
-        for j in range(e, -1, -1):
+        for c in coefficients:
             dfx = dfx * x + fx
-            fx = fx * x + (j - mu)
+            fx = fx * x + c
         if fx == 0:
             return x
         if fx < 0:
@@ -189,28 +191,19 @@ def _check_weight_bits(e: int, low: Fraction, log2_q: float) -> None:
                          f"would hold about {bits:.3g} bits of exact weights, over {MAX_LIFT_BITS} bits")
 
 
-def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
-    """The entropy-maximizing distribution on 0..E with mean ``mu``.
-
-    Returns (distribution, s) where s is the solved float root (1/root
-    for a mean above E/2) and the weights are proportional to (p/q)^j
-    for the first continued-fraction convergent p/q (p >= 1) of the root
-    whose law has its mean within 1e-9 of ``mu``; the last convergent is
-    the root itself.  Boundary means give the point masses at 0 and E
-    (with s = 0 and s = inf) and the mean E/2 the uniform distribution
-    (s = 1).  A mean closer to 0 or E than the smallest positive float,
-    or so close that the exact weights would exceed ``MAX_LIFT_BITS``
-    bits, raises ``ValueError``.
-    """
+def _max_entropy(e: int, mu: Rational) -> tuple[Dist, float, Fraction]:
+    """``max_entropy_dist(e, mu)`` together with the exact mean of its law,
+    the one the 1e-9 check has read."""
     mu = Fraction(mu)
     if e < 1 or not 0 <= mu <= e:
         raise ValueError(f"mean must lie in [0, {e}]")
+    # the boundary laws hold the mean mu exactly
     if mu == 0:
-        return point(0), 0.0
+        return point(0), 0.0, mu
     if mu == e:
-        return point(e), math.inf
+        return point(e), math.inf, mu
     if 2 * mu == e:
-        return uniform(range(e + 1)), 1.0
+        return uniform(range(e + 1)), 1.0, mu
     # the reversal j -> E - j maps mean mu to E - mu and the base s to 1/s,
     # so the solver only sees means below E/2, where the root lies in (0, 1)
     low = min(mu, e - mu)
@@ -227,8 +220,26 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
                 break
     _check_weight_bits(e, low, math.log2(q))
     dist, s = (_geometric(e, q, p), 1 / t) if 2 * mu > e else (_geometric(e, p, q), t)
-    if abs(float(mean(dist) - mu)) >= 1e-9:
-        raise ArithmeticError(f"solved mean misses the target by {float(mean(dist) - mu)}")
+    m = mean(dist)
+    if abs(float(m - mu)) >= 1e-9:
+        raise ArithmeticError(f"solved mean misses the target by {float(m - mu)}")
+    return dist, s, m
+
+
+def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
+    """The entropy-maximizing distribution on 0..E with mean ``mu``.
+
+    Returns (distribution, s) where s is the solved float root (1/root
+    for a mean above E/2) and the weights are proportional to (p/q)^j
+    for the first continued-fraction convergent p/q (p >= 1) of the root
+    whose law has its mean within 1e-9 of ``mu``; the last convergent is
+    the root itself.  Boundary means give the point masses at 0 and E
+    (with s = 0 and s = inf) and the mean E/2 the uniform distribution
+    (s = 1).  A mean closer to 0 or E than the smallest positive float,
+    or so close that the exact weights would exceed ``MAX_LIFT_BITS``
+    bits, raises ``ValueError``.
+    """
+    dist, s, _ = _max_entropy(e, mu)
     return dist, s
 
 
@@ -279,18 +290,24 @@ def compare(e: int, k: int) -> ApproxReport:
     """Exact reference at (E, K) against all three discrete candidates.
 
     Each distinct candidate is read once: candidates that are equal
-    ``Dist``s share one set of statistics, as the ratio and max-entropy
-    laws do whenever the solver keeps the convergent mu/(mu + 1).  The reference's float weights are computed once for its
-    entropy and every KL, and each candidate's KL and total variation come
-    from one set of cross products with the reference.
+    ``Dist``s share one set of statistics.  Two geometric laws on 0..E
+    with one ratio are one reduced ``Dist``, so when the max-entropy
+    law's first two weights stand in ratio mu/(mu + 1) (the solver kept
+    that convergent) it is the ratio law, which is then not built.  The
+    max-entropy law's mean is the one its solver checked.  The
+    reference's float weights are computed once for its entropy and
+    every KL, and each candidate's KL and total variation come from one
+    set of cross products with the reference.
     """
     reference = boltzmann_on_energy(e, k)
     mu = Fraction(e, k)
-    maxent, s = max_entropy_dist(e, mu)
+    maxent, s, maxent_mean = _max_entropy(e, mu)
+    # mu lies in (0, E/2], where the max-entropy law is geometric on 0..E
+    ratio = maxent if maxent(1) * (mu + 1) == maxent(0) * mu else ratio_approx(e, mu)
     floats = _floats(reference)
     candidates: list[CandidateReport] = []
     for name, dist in [
-        ("ratio", ratio_approx(e, mu)),
+        ("ratio", ratio),
         ("discrete-exponential", discrete_exponential(e, mu)),
         ("max-entropy", maxent),
     ]:
@@ -300,7 +317,7 @@ def compare(e: int, k: int) -> ApproxReport:
             candidates.append(CandidateReport(
                 name=name,
                 dist=dist,
-                mean=mean(dist),
+                mean=maxent_mean if dist is maxent else mean(dist),
                 entropy=entropy(dist),
                 kl_from_reference=_kl(reference, floats, cross),
                 total_variation=_total_variation(reference, dist, cross),

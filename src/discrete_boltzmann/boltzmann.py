@@ -36,8 +36,8 @@ def boltzmann_on_multisets(n: int, k: int, i: int) -> Dist:
     """Configurations of k particles over n levels with total energy i,
     weighted by their multiset coefficients."""
     _check_sum_space(n, k, i, k_min=1)
-    return Dist(((phi, coefficient(phi)) for phi in enumerate_multisets_with_sum(n, k, i)),
-                nomial(n, k, i))
+    states = list(enumerate_multisets_with_sum(n, k, i))
+    return Dist._from_counts(states, list(map(coefficient, states)), nomial(n, k, i))
 
 
 def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
@@ -66,8 +66,8 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     if 2 * i > (n - 1) * k:
         weights = row[top - i + lo:]  # C_N(K-1, T'-i+lo..T'-i+hi)
     else:
-        weights = reversed(row[i - hi:i - lo + 1])  # C_N(K-1, i-hi..i-lo)
-    return Dist(zip(range(lo, hi + 1), weights), total)
+        weights = row[i - hi:i - lo + 1][::-1]  # C_N(K-1, i-hi..i-lo)
+    return Dist._from_counts(range(lo, hi + 1), weights, total)
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:

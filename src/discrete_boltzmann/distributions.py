@@ -8,6 +8,16 @@ Weights are scaled to the lcm of their denominators; when every weight
 is whole (an int, or a ``Fraction`` with denominator 1, as the counts of
 every family are) the lcm is 1 and each weight's numerator is stored as
 it is, with no per-element scaling.
+
+The exact families (the numbers, energy and multiset families, ``flrn``,
+the shift-chain and level-chain rows, and the geometric and lifted
+exponential weights of ``approx``) hand their counts to one private core,
+``Dist._from_counts(support, counts, total)``, whose support elements
+are distinct by construction: one ``zip`` builds the numerators, zero
+counts are dropped, and there is no per-element type test, fraction
+scaling or merging.  It refuses a negative count and a repeated element
+with the messages of ``Dist(...)``, and it ends in the same sum check
+and gcd reduction, which both constructors share.
 The only floating-point outputs here are ``entropy`` and
 ``kl_divergence`` (natural-log convention, 0*ln 0 = 0).  KL and the
 total variation read one private walk of the cross products n * D and
@@ -26,7 +36,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .multisets import GroundSet, Multiset, coefficient, enumerate_multisets
 
@@ -67,7 +77,30 @@ class Dist:
                 # whole weights (every denominator 1) are their numerators
                 num[x] = num.get(x, 0) + (p.numerator if scale == 1
                                           else p.numerator * (scale // p.denominator))
-        den = total * scale
+        self._settle(num, total * scale)
+
+    @classmethod
+    def _from_counts(cls, support: Sequence[Any], counts: Sequence[int], total: int) -> "Dist":
+        """Trusted constructor for a family's integer counts over its
+        normalizer: ``support`` holds distinct elements and ``counts`` one
+        natural number per element, in support order.  Zero counts are
+        dropped; a negative count, a repeated element or counts that do
+        not sum to ``total`` are refused."""
+        num = dict(zip(support, counts, strict=True))
+        if len(num) != len(counts):
+            raise ValueError("support elements must be distinct")
+        if min(counts, default=0) < 0:
+            x, p = next((x, p) for x, p in zip(support, counts) if p < 0)
+            raise ValueError(f"negative weight {p} on {x!r}")
+        if not all(counts):
+            num = {x: n for x, n in num.items() if n}
+        dist = object.__new__(cls)
+        dist._settle(num, total)
+        return dist
+
+    def _settle(self, num: dict[Any, int], den: int) -> None:
+        """Store the numerators ``num`` over ``den`` in lowest terms, once
+        they are checked to sum to ``den``."""
         if not num or sum(num.values()) != den:
             raise ValueError("weights must sum to exactly 1")
         g = math.gcd(den, *num.values())
@@ -166,7 +199,7 @@ def flrn(phi: Multiset) -> Dist:
     k = phi.size
     if k == 0:
         raise ValueError("cannot learn a distribution from the empty multiset")
-    return Dist(phi.items(), k)
+    return Dist._from_counts(phi.ground.labels, phi.counts_vector(), k)
 
 
 def image(omega: Dist, f: Callable[[Any], Any]) -> Dist:

@@ -169,8 +169,8 @@ def shift(phi: Multiset) -> Dist:
     k = sum(vec)
     powers, up = _key_moves(len(vec), k)
     targets, nums, den = _shift_row(vec, sum(map(operator.mul, vec, powers)), up, {}, [])
-    return Dist(zip((Multiset._from_vector(phi.ground, _vector(t, powers, k)) for t in targets),
-                    nums), den)
+    return Dist._from_counts([Multiset._from_vector(phi.ground, _vector(t, powers, k))
+                              for t in targets], nums, den)
 
 
 class _ShiftChain(Channel):
@@ -230,7 +230,7 @@ class _ShiftChain(Channel):
 
     def __call__(self, phi: Multiset) -> Dist:
         targets, nums, den = self.row(self.locate(phi))
-        return Dist(zip((self.states[t] for t in targets), nums), den)
+        return Dist._from_counts([self.states[t] for t in targets], nums, den)
 
     def vector(self, omega: Dist) -> list[int]:
         """The numerators of ``omega`` over its denominator, by state."""
@@ -311,7 +311,8 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
     each weighted by coefficient(phi) * phi(j), normalized."""
     states = list(enumerate_multisets_with_sum(n, k, i))
     columns = zip(*(phi.counts_vector() for phi in states))
-    rows = {j: Dist(zip(states, prior), sum(prior)) for j, prior in _priors(states, columns)}
+    rows = {j: Dist._from_counts(states, prior, sum(prior))
+            for j, prior in _priors(states, columns)}
     return _level_channel(rows, k, i)
 
 
@@ -330,7 +331,7 @@ def shift_on_numbers(n: int, k: int, i: int) -> Channel:
     for j, prior in _priors(chain.states, columns):
         vec, den = chain.push(prior, sum(prior))
         counts = [sum(map(operator.mul, vec, col)) for col in columns]
-        rows[j] = Dist(enumerate(counts), den * k)
+        rows[j] = Dist._from_counts(range(len(counts)), counts, den * k)
     return _level_channel(rows, k, i)
 
 
