@@ -14,40 +14,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import approx as approx_mod
-from . import markov as markov_mod
-from .boltzmann import (
-    boltzmann_on_energy,
-    boltzmann_on_multisets,
-    boltzmann_on_numbers,
-    boltzmann_on_numbers_via_multisets,
-    scaled_unnormalized,
-)
-from .distributions import Dist, point, uniform
-from .ketform import dist_to_csv_rows, dist_to_json
-from .multisets import parse_multiset
-from .multivariate import (
-    boltzmann_multi,
-    boltzmann_multi_on_levels,
-    hypergeometric,
-    nomial_distribution,
-    polya,
-)
-from .nomials import (
-    DEFAULT_BUDGET,
-    NomialTable,
-    nomial,
-    nomial_enum_sequences,
-    nomial_recursive,
-    nomial_via_multisets,
-)
+from .nomials import DEFAULT_BUDGET
 
 # Every `dboltz` call is its own process, so a module-level import here is
-# paid by every command: modules that only one or two commands use (`json`,
-# `verify`) are imported inside those commands' handlers instead.
+# paid by every command.  Only `argparse` and the counting layer's default
+# budget load with this module; each handler imports the modules it
+# computes with, and the package resolves its names lazily, so `nomial
+# value` loads no `fractions` and no distribution module, and `boltzmann`
+# loads no chain, solver, urn or self-check code.  `run` builds only the
+# parser of the command group that argv names, and the full parser for
+# help, usage and errors (see `_LeanParser`).
 
 __all__ = ["run", "main", "export_plot_data"]
 
@@ -58,6 +36,7 @@ def export_plot_data(omega: Dist, path: str) -> None:
     Probabilities are decimals at 12 significant digits; the exact
     rational columns are authoritative.
     """
+    from .ketform import dist_to_csv_rows
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,probability,numerator,denominator\n")
         for row, p in zip(dist_to_csv_rows(omega), omega.weights()):
@@ -69,6 +48,7 @@ def _default_format() -> str:
 
 
 def _emit_dist(omega: Dist, args: argparse.Namespace) -> None:
+    from .ketform import dist_to_csv_rows, dist_to_json
     fmt = getattr(args, "format", None) or _default_format()
     if fmt == "kets":
         print(omega)
@@ -97,6 +77,7 @@ def _emit_dist(omega: Dist, args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_nomial_value(args) -> int:
+    from .nomials import nomial, nomial_enum_sequences, nomial_recursive, nomial_via_multisets
     routes = {
         "auto": nomial,
         "multisets": nomial_via_multisets,
@@ -108,6 +89,7 @@ def _cmd_nomial_value(args) -> int:
 
 
 def _cmd_nomial_table(args) -> int:
+    from .nomials import NomialTable
     table = NomialTable(args.levels, args.max_length)
     for k in range(args.max_length + 1):
         print(",".join(str(v) for v in table.row(k)))
@@ -127,6 +109,13 @@ def _cmd_nomial_check(args) -> int:
 
 
 def _cmd_boltzmann(args) -> int:
+    from .boltzmann import (
+        boltzmann_on_energy,
+        boltzmann_on_multisets,
+        boltzmann_on_numbers,
+        boltzmann_on_numbers_via_multisets,
+        scaled_unnormalized,
+    )
     kind = args.family
     if kind == "energy":
         e, k = args.total_energy, args.particles
@@ -149,21 +138,25 @@ def _cmd_boltzmann(args) -> int:
 
 
 def _cmd_markov_stationarity(args) -> int:
+    from .boltzmann import boltzmann_on_multisets
+    from .markov import shift_channel, stationarity_residual
     n, k, i = args.levels, args.particles, args.sum
-    residual = markov_mod.stationarity_residual(
-        boltzmann_on_multisets(n, k, i), markov_mod.shift_channel(n, k, i))
+    residual = stationarity_residual(boltzmann_on_multisets(n, k, i), shift_channel(n, k, i))
     print(residual)
     return 0
 
 
 def _cmd_markov_iterate(args) -> int:
+    from .boltzmann import boltzmann_on_multisets
+    from .distributions import point, uniform
+    from .markov import iterate_chain, shift_channel
     n, k, i = args.levels, args.particles, args.sum
     reference = boltzmann_on_multisets(n, k, i)
-    chain = markov_mod.shift_channel(n, k, i)
+    chain = shift_channel(n, k, i)
     states = chain.states  # the enumeration order
     omega0 = (uniform(states) if args.start == "uniform"
               else point(states[0] if args.start == "first" else states[-1]))
-    trace = markov_mod.iterate_chain(omega0, chain, args.steps, reference)
+    trace = iterate_chain(omega0, chain, args.steps, reference)
     print("step,tv_distance")
     for step, residual in trace:
         print(f"{step},{float(residual):.12g}")
@@ -171,7 +164,8 @@ def _cmd_markov_iterate(args) -> int:
 
 
 def _cmd_markov_matrix(args) -> int:
-    states, rows = markov_mod.transition_matrix(args.levels, args.particles, args.sum)
+    from .markov import transition_matrix
+    states, rows = transition_matrix(args.levels, args.particles, args.sum)
     print("state," + ",".join(f'"{s}"' for s in states))
     for phi, row in zip(states, rows):
         print(f'"{phi}",' + ",".join(str(w) for w in row))
@@ -179,9 +173,11 @@ def _cmd_markov_matrix(args) -> int:
 
 
 def _cmd_approx_compare(args) -> int:
-    report = approx_mod.compare(args.total_energy, args.particles)
+    from .approx import compare, continuous_exponential_pdf
+    report = compare(args.total_energy, args.particles)
     if args.format == "json":
         import json
+        from .ketform import dist_to_json
         payload = {
             "command": " ".join(args.command_echo),
             "energy": report.energy,
@@ -206,7 +202,8 @@ def _cmd_approx_compare(args) -> int:
         }
         print(json.dumps(payload))
         return 0
-    pdf = approx_mod.continuous_exponential_pdf(report.mu)
+    from fractions import Fraction
+    pdf = continuous_exponential_pdf(report.mu)
     names = [c.name for c in report.candidates]
     print("j,reference," + ",".join(names) + ",continuous_pdf")
     grid = max(1, args.grid)
@@ -225,6 +222,14 @@ def _cmd_approx_compare(args) -> int:
 
 
 def _cmd_multivariate(args) -> int:
+    from .multisets import parse_multiset
+    from .multivariate import (
+        boltzmann_multi,
+        boltzmann_multi_on_levels,
+        hypergeometric,
+        nomial_distribution,
+        polya,
+    )
     psi = parse_multiset(args.urn)
     kind = args.dist
     if kind == "hypergeometric":
@@ -268,12 +273,7 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
                    help="also write plot-data CSV (index, probability, exact columns)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dboltz",
-        description="Exact N-nomial coefficients and discrete Boltzmann distributions.")
-    sub = parser.add_subparsers(dest="group", required=True)
-
+def _add_nomial(sub) -> None:
     nom = sub.add_parser("nomial", help="N-nomial coefficients").add_subparsers(
         dest="action", required=True)
     value = nom.add_parser("value", help="one coefficient")
@@ -294,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     check.set_defaults(handler=_cmd_nomial_check)
 
+
+def _add_boltzmann(sub) -> None:
     boltz = sub.add_parser("boltzmann", help="the three distribution families").add_subparsers(
         dest="family", required=True)
     for family in ("multisets", "numbers", "energy"):
@@ -313,6 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_format_flags(p)
         p.set_defaults(handler=_cmd_boltzmann)
 
+
+def _add_markov(sub) -> None:
     markov = sub.add_parser("markov", help="the sum-preserving shift chain").add_subparsers(
         dest="action", required=True)
     for action, handler, help_text in (
@@ -328,6 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--start", choices=["uniform", "first", "last"], default="uniform")
         p.set_defaults(handler=handler)
 
+
+def _add_approx(sub) -> None:
     appx = sub.add_parser("approx", help="approximation comparison").add_subparsers(
         dest="action", required=True)
     cmp_p = appx.add_parser("compare")
@@ -338,6 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--format", choices=["csv", "json"], default="csv")
     cmp_p.set_defaults(handler=_cmd_approx_compare)
 
+
+def _add_multivariate(sub) -> None:
     multi = sub.add_parser("multivariate", help="urn distributions").add_subparsers(
         dest="dist", required=True)
     for kind in ("hypergeometric", "polya", "nomial-dist", "boltzmann-multi"):
@@ -356,6 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_format_flags(p)
         p.set_defaults(handler=_cmd_multivariate)
 
+
+def _add_verify(sub) -> None:
     ver = sub.add_parser("verify", help="invariant sweeps").add_subparsers(
         dest="action", required=True)
     allp = ver.add_parser("all")
@@ -365,15 +375,73 @@ def _build_parser() -> argparse.ArgumentParser:
     allp.add_argument("--trials", type=int, default=25)
     allp.set_defaults(handler=_cmd_verify)
 
+
+# command group -> the function that adds its subparser, in help order
+_GROUPS = {
+    "nomial": _add_nomial,
+    "boltzmann": _add_boltzmann,
+    "markov": _add_markov,
+    "approx": _add_approx,
+    "multivariate": _add_multivariate,
+    "verify": _add_verify,
+}
+
+
+class _Fallback(Exception):
+    """Raised by a lean parser in place of any output."""
+
+
+class _FixedWidthFormatter(argparse.HelpFormatter):
+    def __init__(self, prog):
+        super().__init__(prog, width=80)
+
+
+class _LeanParser(argparse.ArgumentParser):
+    """A parser that prints nothing: help, usage and errors raise
+    ``_Fallback``, so the full parser parses the argv again and prints
+    the text.  Its subparsers are of this class too.  Its formatters
+    only check metavars, so they take a fixed width instead of asking
+    `shutil` for the terminal's."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _FixedWidthFormatter)
+        super().__init__(*args, **kwargs)
+
+    def print_help(self, file=None):
+        raise _Fallback
+
+    def error(self, message):
+        raise _Fallback
+
+
+def _build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The `dboltz` parser; given a command group, a lean parser with only
+    that group's subparser, which parses a valid argv of the group into the
+    same namespace as the full parser."""
+    parser = (argparse.ArgumentParser if group is None else _LeanParser)(
+        prog="dboltz",
+        description="Exact N-nomial coefficients and discrete Boltzmann distributions.")
+    sub = parser.add_subparsers(dest="group", required=True)
+    for name, add in _GROUPS.items():
+        if group in (None, name):
+            add(sub)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _GROUPS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _Fallback:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.command_echo = ["dboltz", *argv]

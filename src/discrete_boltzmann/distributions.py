@@ -10,8 +10,9 @@ every family are) the lcm is 1 and each weight's numerator is stored as
 it is, with no per-element scaling.
 
 The exact families (the numbers, energy and multiset families, ``flrn``,
-the shift-chain and level-chain rows, and the geometric and lifted
-exponential weights of ``approx``) hand their counts to one private core,
+the shift-chain and level-chain rows, the geometric and lifted
+exponential weights of ``approx``, and the urn distributions and tuple
+Boltzmann families of ``multivariate``) hand their counts to one private core,
 ``Dist._from_counts(support, counts, total)``, whose support elements
 are distinct by construction: one ``zip`` builds the numerators, zero
 counts are dropped, and there is no per-element type test, fraction

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-Label = Union[int, str]
+Label = int | str
 
 __all__ = [
     "GroundSet",
@@ -129,7 +129,7 @@ class Multiset:
     __slots__ = ("_ground", "_vec", "_hash")
 
     def __init__(self, ground: GroundSet,
-                 counts: Union[Mapping[Label, int], Iterable[tuple[Label, int]]] = ()):
+                 counts: Mapping[Label, int] | Iterable[tuple[Label, int]] = ()):
         if not isinstance(ground, GroundSet):
             raise TypeError("ground must be a GroundSet")
         items = counts.items() if isinstance(counts, Mapping) else counts

@@ -78,18 +78,18 @@ def hypergeometric(k: int, psi: Multiset) -> Dist:
     total_size = psi.size
     if not 0 <= k <= total_size:
         raise ValueError(f"cannot draw {k} from an urn of size {total_size}")
-    caps = dict(psi.items())
-    return Dist(((phi, mult_binom(psi, phi))
-                 for phi in enumerate_multisets(psi.ground, k, caps=caps)),
-                binom(total_size, k))
+    draws = list(enumerate_multisets(psi.ground, k, caps=dict(psi.items())))
+    return Dist._from_counts(draws, [mult_binom(psi, phi) for phi in draws],
+                             binom(total_size, k))
 
 
 def polya(k: int, psi: Multiset) -> Dist:
     """Draw-and-duplicate distribution of k draws from the urn psi."""
     if k < 0:
         raise ValueError("draw size must be a natural")
-    return Dist(((phi, mult_multichoose(psi, phi)) for phi in enumerate_multisets(psi.ground, k)),
-                multichoose(psi.size, k))
+    total = multichoose(psi.size, k)  # an empty urn fails here, before any draw
+    draws = list(enumerate_multisets(psi.ground, k))
+    return Dist._from_counts(draws, [mult_multichoose(psi, phi) for phi in draws], total)
 
 
 def nomial_coeff_multisets(n: int, psi: Multiset, phi: Multiset) -> int:
@@ -118,9 +118,10 @@ def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
     sizes = psi.counts_vector()
     rows = _rows_at(n, i, sizes)
     label_rows = [rows[c] for c in sizes]  # C_N(psi(x), 0..i) for each label x
-    return Dist(((phi, math.prod(map(getitem, label_rows, phi.counts_vector())))
-                 for phi in enumerate_multisets(psi.ground, i, caps=caps)),
-                nomial(n, total_size, i))
+    draws = list(enumerate_multisets(psi.ground, i, caps=caps))
+    return Dist._from_counts(
+        draws, [math.prod(map(getitem, label_rows, phi.counts_vector())) for phi in draws],
+        nomial(n, total_size, i))
 
 
 def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
@@ -135,15 +136,15 @@ def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
     _check_sum_space(n, k, i, k_min=1)
     sizes = psi.counts_vector()
     caps = {x: (n - 1) * c for x, c in psi.items()}
-    pairs = []
+    tuples = []
     for split in enumerate_multisets(psi.ground, i, caps=caps):
         component_spaces = [
             list(enumerate_multisets_with_sum(n, s, e))
             for s, e in zip(sizes, split.counts_vector())
         ]
-        for combo in itertools.product(*component_spaces):
-            pairs.append((combo, math.prod(map(coefficient, combo))))
-    return Dist(pairs, nomial(n, k, i))
+        tuples.extend(itertools.product(*component_spaces))
+    return Dist._from_counts(tuples, [math.prod(map(coefficient, combo)) for combo in tuples],
+                             nomial(n, k, i))
 
 
 def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
@@ -167,7 +168,10 @@ def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
     _check_sum_space(n, k, i, k_min=1)
     rest = _rows_at(n, i, (k - kinds,))[k - kinds]  # C_N(K - L, 0..i)
     caps = {x: n - 1 for x in psi.ground}
-    return Dist(((phi.counts_vector(), rest[i - s])
-                 for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1)
-                 for phi in enumerate_multisets(psi.ground, s, caps=caps)),
-                nomial(n, k, i))
+    support, counts = [], []
+    for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1):
+        level_tuples = [phi.counts_vector()
+                        for phi in enumerate_multisets(psi.ground, s, caps=caps)]
+        support.extend(level_tuples)
+        counts.extend([rest[i - s]] * len(level_tuples))
+    return Dist._from_counts(support, counts, nomial(n, k, i))

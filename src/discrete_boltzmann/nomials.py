@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from operator import sub
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .multisets import (
     _check_sum_space,

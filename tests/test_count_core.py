@@ -18,6 +18,8 @@ from discrete_boltzmann import (
     Dist,
     GroundSet,
     Multiset,
+    boltzmann_multi,
+    boltzmann_multi_on_levels,
     boltzmann_on_energy,
     boltzmann_on_multisets,
     boltzmann_on_numbers,
@@ -25,7 +27,11 @@ from discrete_boltzmann import (
     enumerate_multisets_with_sum,
     flrn,
     flrn_dagger,
+    hypergeometric,
     max_entropy_dist,
+    nomial_distribution,
+    parse_multiset,
+    polya,
     ratio_approx,
     shift,
     shift_channel,
@@ -238,3 +244,46 @@ class TestParity:
             for j in range(n):
                 dagger(j)
         assert_parity(handed_over)
+
+
+URNS = ["1|a>", "2|a> + 1|b>", "1|a> + 5|b> + 3|c>", "3|a> + 3|b>", "2|x> + 1|y> + 1|z>"]
+
+
+class TestUrnParity:
+    """The urn distributions and tuple Boltzmann families of ``multivariate``."""
+
+    @pytest.mark.parametrize("urn", URNS)
+    def test_hypergeometric_and_polya(self, handed_over, urn):
+        psi = parse_multiset(urn)
+        for k in range(psi.size + 1):
+            for build in (hypergeometric, polya):
+                handed_over.clear()
+                dist = build(k, psi)
+                assert len(handed_over) == 1 and handed_over[0][3] is dist
+                assert_parity(handed_over)
+
+    @pytest.mark.parametrize("urn", URNS)
+    def test_nomial_distribution(self, handed_over, urn):
+        psi = parse_multiset(urn)
+        for n in (None, 2, 3):
+            levels = len(psi.ground) if n is None else n
+            for i in range((levels - 1) * psi.size + 1):
+                handed_over.clear()
+                dist = nomial_distribution(i, psi, n)
+                assert len(handed_over) == 1 and handed_over[0][3] is dist
+                assert_parity(handed_over)
+
+    @pytest.mark.parametrize("urn", URNS)
+    def test_tuple_family_and_its_levels(self, handed_over, urn):
+        psi = parse_multiset(urn)
+        for n in (1, 2, 3):
+            for i in range((n - 1) * psi.size + 1):
+                handed_over.clear()
+                on_levels = boltzmann_multi_on_levels(n, psi, i)
+                assert len(handed_over) == 1 and handed_over[0][3] is on_levels
+                assert_parity(handed_over)
+                if psi.size <= 6:
+                    handed_over.clear()
+                    dist = boltzmann_multi(n, psi, i)
+                    assert handed_over[-1][3] is dist
+                    assert_parity(handed_over)
