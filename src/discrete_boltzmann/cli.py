@@ -23,9 +23,8 @@ from .nomials import DEFAULT_BUDGET
 # budget load with this module; each handler imports the modules it
 # computes with, and the package resolves its names lazily, so `nomial
 # value` loads no `fractions` and no distribution module, and `boltzmann`
-# loads no chain, solver, urn or self-check code.  `run` builds only the
-# parser of the command group that argv names, and the full parser for
-# help, usage and errors (see `_LeanParser`).
+# loads no chain, solver, urn or self-check code.  `run` gives arguments
+# only to the command group that argv names (see `_build_parser`).
 
 __all__ = ["run", "main", "export_plot_data"]
 
@@ -273,9 +272,8 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
                    help="also write plot-data CSV (index, probability, exact columns)")
 
 
-def _add_nomial(sub) -> None:
-    nom = sub.add_parser("nomial", help="N-nomial coefficients").add_subparsers(
-        dest="action", required=True)
+def _add_nomial(group: argparse.ArgumentParser) -> None:
+    nom = group.add_subparsers(dest="action", required=True)
     value = nom.add_parser("value", help="one coefficient")
     value.add_argument("--levels", type=int, required=True)
     value.add_argument("--length", "--particles", dest="length", type=int, required=True)
@@ -295,9 +293,8 @@ def _add_nomial(sub) -> None:
     check.set_defaults(handler=_cmd_nomial_check)
 
 
-def _add_boltzmann(sub) -> None:
-    boltz = sub.add_parser("boltzmann", help="the three distribution families").add_subparsers(
-        dest="family", required=True)
+def _add_boltzmann(group: argparse.ArgumentParser) -> None:
+    boltz = group.add_subparsers(dest="family", required=True)
     for family in ("multisets", "numbers", "energy"):
         p = boltz.add_parser(family)
         if family == "energy":
@@ -316,9 +313,8 @@ def _add_boltzmann(sub) -> None:
         p.set_defaults(handler=_cmd_boltzmann)
 
 
-def _add_markov(sub) -> None:
-    markov = sub.add_parser("markov", help="the sum-preserving shift chain").add_subparsers(
-        dest="action", required=True)
+def _add_markov(group: argparse.ArgumentParser) -> None:
+    markov = group.add_subparsers(dest="action", required=True)
     for action, handler, help_text in (
             ("stationarity", _cmd_markov_stationarity, "exact equilibrium residual"),
             ("iterate", _cmd_markov_iterate, "pushforward iteration trace"),
@@ -333,9 +329,8 @@ def _add_markov(sub) -> None:
         p.set_defaults(handler=handler)
 
 
-def _add_approx(sub) -> None:
-    appx = sub.add_parser("approx", help="approximation comparison").add_subparsers(
-        dest="action", required=True)
+def _add_approx(group: argparse.ArgumentParser) -> None:
+    appx = group.add_subparsers(dest="action", required=True)
     cmp_p = appx.add_parser("compare")
     cmp_p.add_argument("--total-energy", type=int, required=True)
     cmp_p.add_argument("--particles", type=int, required=True)
@@ -345,9 +340,8 @@ def _add_approx(sub) -> None:
     cmp_p.set_defaults(handler=_cmd_approx_compare)
 
 
-def _add_multivariate(sub) -> None:
-    multi = sub.add_parser("multivariate", help="urn distributions").add_subparsers(
-        dest="dist", required=True)
+def _add_multivariate(group: argparse.ArgumentParser) -> None:
+    multi = group.add_subparsers(dest="dist", required=True)
     for kind in ("hypergeometric", "polya", "nomial-dist", "boltzmann-multi"):
         p = multi.add_parser(kind)
         p.add_argument("--urn", required=True, help='multiset text, e.g. "1|a> + 5|b> + 3|c>"')
@@ -365,9 +359,8 @@ def _add_multivariate(sub) -> None:
         p.set_defaults(handler=_cmd_multivariate)
 
 
-def _add_verify(sub) -> None:
-    ver = sub.add_parser("verify", help="invariant sweeps").add_subparsers(
-        dest="action", required=True)
+def _add_verify(group: argparse.ArgumentParser) -> None:
+    ver = group.add_subparsers(dest="action", required=True)
     allp = ver.add_parser("all")
     allp.add_argument("--max-levels", type=int, default=4)
     allp.add_argument("--max-size", type=int, default=5)
@@ -376,65 +369,37 @@ def _add_verify(sub) -> None:
     allp.set_defaults(handler=_cmd_verify)
 
 
-# command group -> the function that adds its subparser, in help order
+# command group -> (its help line, the function that fills its subparser),
+# in help order
 _GROUPS = {
-    "nomial": _add_nomial,
-    "boltzmann": _add_boltzmann,
-    "markov": _add_markov,
-    "approx": _add_approx,
-    "multivariate": _add_multivariate,
-    "verify": _add_verify,
+    "nomial": ("N-nomial coefficients", _add_nomial),
+    "boltzmann": ("the three distribution families", _add_boltzmann),
+    "markov": ("the sum-preserving shift chain", _add_markov),
+    "approx": ("approximation comparison", _add_approx),
+    "multivariate": ("urn distributions", _add_multivariate),
+    "verify": ("invariant sweeps", _add_verify),
 }
 
 
-class _Fallback(Exception):
-    """Raised by a lean parser in place of any output."""
-
-
-class _FixedWidthFormatter(argparse.HelpFormatter):
-    def __init__(self, prog):
-        super().__init__(prog, width=80)
-
-
-class _LeanParser(argparse.ArgumentParser):
-    """A parser that prints nothing: help, usage and errors raise
-    ``_Fallback``, so the full parser parses the argv again and prints
-    the text.  Its subparsers are of this class too.  Its formatters
-    only check metavars, so they take a fixed width instead of asking
-    `shutil` for the terminal's."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("formatter_class", _FixedWidthFormatter)
-        super().__init__(*args, **kwargs)
-
-    def print_help(self, file=None):
-        raise _Fallback
-
-    def error(self, message):
-        raise _Fallback
-
-
 def _build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The `dboltz` parser; given a command group, a lean parser with only
-    that group's subparser, which parses a valid argv of the group into the
-    same namespace as the full parser."""
-    parser = (argparse.ArgumentParser if group is None else _LeanParser)(
+    """The `dboltz` parser; given a command group, only that group's
+    subparser gets its arguments and the others keep just their name and
+    help line.  argparse descends only into the group an argv names, so
+    for an argv that names ``group`` first this parser prints the same
+    help, usage and errors as the full one and reads the same namespace."""
+    parser = argparse.ArgumentParser(
         prog="dboltz",
         description="Exact N-nomial coefficients and discrete Boltzmann distributions.")
     sub = parser.add_subparsers(dest="group", required=True)
-    for name, add in _GROUPS.items():
+    for name, (help_text, fill) in _GROUPS.items():
+        p = sub.add_parser(name, help=help_text)
         if group in (None, name):
-            add(sub)
+            fill(p)
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    if argv and argv[0] in _GROUPS:
-        try:
-            return _build_parser(argv[0]).parse_args(argv)
-        except _Fallback:
-            pass
-    return _build_parser().parse_args(argv)
+    return _build_parser(argv[0] if argv and argv[0] in _GROUPS else None).parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

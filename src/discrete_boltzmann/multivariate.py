@@ -168,10 +168,8 @@ def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
     _check_sum_space(n, k, i, k_min=1)
     rest = _rows_at(n, i, (k - kinds,))[k - kinds]  # C_N(K - L, 0..i)
     caps = {x: n - 1 for x in psi.ground}
-    support, counts = [], []
-    for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1):
-        level_tuples = [phi.counts_vector()
-                        for phi in enumerate_multisets(psi.ground, s, caps=caps)]
-        support.extend(level_tuples)
-        counts.extend([rest[i - s]] * len(level_tuples))
+    support = [phi.counts_vector()
+               for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1)
+               for phi in enumerate_multisets(psi.ground, s, caps=caps)]
+    counts = [rest[i - sum(levels)] for levels in support]
     return Dist._from_counts(support, counts, nomial(n, k, i))
