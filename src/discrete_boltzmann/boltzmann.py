@@ -47,12 +47,12 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     no weight, so for i < N the support stays within 0..i.  Above half
     the top sum, 2i > (N-1)K, the weights are read from the shorter side
     of the palindromic row K-1, C_N(K-1, i-j) = C_N(K-1, T'-i+j) with
-    T' = (N-1)(K-1), so the row step costs O(K*w) with
-    w = min(i, (N-1)K - i).  At or above N (w >= N) the normalizer
-    C_N(K, w) is the next row of the same pass, so the exact-sum check
-    in ``Dist`` holds the row step against itself; below N the weights
-    are the closed-form row and the normalizer is multichoose(K, w), an
-    independent closed form.  The support stays in ascending level order.
+    T' = (N-1)(K-1), so row K-1 is cut at w = min(i, (N-1)K - i) and
+    costs O(w) steps of the row recurrence.  At or above N (w >= N) the
+    normalizer C_N(K, w) is a separate run of the recurrence for row K,
+    so the exact-sum check in ``Dist`` holds one run against another;
+    below N the normalizer is multichoose(K, w), an independent closed
+    form at one ``math.comb``.  The support stays in ascending level order.
     """
     _check_sum_space(n, k, i, k_min=1)
     top = (n - 1) * (k - 1)

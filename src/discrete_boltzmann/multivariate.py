@@ -78,9 +78,11 @@ def hypergeometric(k: int, psi: Multiset) -> Dist:
     total_size = psi.size
     if not 0 <= k <= total_size:
         raise ValueError(f"cannot draw {k} from an urn of size {total_size}")
+    sizes = psi.counts_vector()
     draws = list(enumerate_multisets(psi.ground, k, caps=dict(psi.items())))
-    return Dist._from_counts(draws, [mult_binom(psi, phi) for phi in draws],
-                             binom(total_size, k))
+    return Dist._from_counts(
+        draws, [math.prod(map(binom, sizes, phi.counts_vector())) for phi in draws],
+        binom(total_size, k))
 
 
 def polya(k: int, psi: Multiset) -> Dist:
@@ -88,8 +90,13 @@ def polya(k: int, psi: Multiset) -> Dist:
     if k < 0:
         raise ValueError("draw size must be a natural")
     total = multichoose(psi.size, k)  # an empty urn fails here, before any draw
+    sizes = psi.counts_vector()
+    if min(sizes) < 1:  # one check for all draws, with mult_multichoose's message
+        raise ValueError("mult_multichoose needs psi(x) >= 1 on every label")
     draws = list(enumerate_multisets(psi.ground, k))
-    return Dist._from_counts(draws, [mult_multichoose(psi, phi) for phi in draws], total)
+    return Dist._from_counts(
+        draws, [math.prod(map(multichoose, sizes, phi.counts_vector())) for phi in draws],
+        total)
 
 
 def nomial_coeff_multisets(n: int, psi: Multiset, phi: Multiset) -> int:

@@ -8,23 +8,22 @@ coefficients, the row recursion, and the multichoose closed form for
 i < N) agree wherever their preconditions overlap; tests and the
 verification sweep hold them against each other.
 
-Row K of the triangle, the coefficients of (1 + x + ... + x^(N-1))^K,
-comes from row K-1 by the sliding-window step ``_rows``.  The recursion
-and ``NomialTable`` read that window directly; every other reader, the
-callers in other modules included, asks ``_rows_at`` for the rows it
-needs.  Cut at N or more, ``_rows_at`` reads all of them from one pass of
-the window: the Vandermonde split its rows K1, K2 and K1+K2, the numbers
-family (``boltzmann.boltzmann_on_numbers``) its weights row K-1 and its
-normalizer row K.  Cut below N it returns the closed-form rows
-multichoose(K, 0..width) instead, and the numbers family takes its
-normalizer from ``multichoose``, which shares no code with the rows.
+Row K of the triangle holds the coefficients of (1 + x + ... + x^(N-1))^K.
+Two row steps, which share no code, build it.  The sliding window
+``_rows`` makes row K from row K-1 at O(1) per cell, for ``NomialTable``
+and the recursion oracle.  ``_rows_at`` runs the D-finite recurrence of
+each row it is asked for on its own, at O(1) big-integer steps per entry;
+every other reader asks it for its rows, so rows read together (the
+numbers family's K-1 and K, the Vandermonde split's K1, K2 and K1+K2)
+are independent runs.
 
 Every row is a palindrome: level reversal j -> N-1-j preserves multiset
 coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
 T = (N-1)K.  ``nomial``, ``vandermonde_check`` and
 ``boltzmann.boltzmann_on_numbers`` read a row cut at i from the shorter
-side, at min(i, T - i), so their row step costs O(K*min(i, T - i)) and
-the closed form covers the top N-1 sums as well as the bottom N.
+side, at w = min(i, T - i).  So ``nomial``'s closed form covers the top
+N-1 sums as well as the bottom N, and its window costs O(K*w) cells
+otherwise; the other two run the recurrence at O(w) steps per row.
 ``nomial_recursive`` keeps reading the window at i, which makes it an
 independent oracle for the mirror.
 """
@@ -71,8 +70,10 @@ def nomial_enum_sequences(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) 
 def _sequences_with_sum(n: int, k: int, i: int, budget: int) -> Iterator[tuple[int, ...]]:
     """The length-k sequences over 0..n-1 summing to i, found by brute
     force over all n**k; refuses before starting when that exceeds
-    ``budget``."""
-    if n ** k > budget:
+    ``budget``.  The power is cut at one past the budget's bit length,
+    where for n >= 2 it already exceeds the budget, so a refusal never
+    computes a huge n**k."""
+    if n ** min(k, budget.bit_length() + 1) > budget:
         raise ValueError(f"enumeration of {n}**{k} sequences exceeds budget {budget}")
     return (v for v in itertools.product(range(n), repeat=k) if sum(v) == i)
 
@@ -91,7 +92,7 @@ def nomial_recursive(n: int, k: int, i: int) -> int:
     admissible next entries j < min(level+1, N).  Rows are built in
     increasing size order (so no recursion depth limit applies) and cut
     at level i, so the whole evaluation costs O(K*i) additions.  It
-    reads the window at every i, never ``_rows_at``'s closed form below N.
+    reads the window at every i, never ``_rows_at``'s recurrence.
     """
     _check_sum_space(n, k, i)
     return next(itertools.islice(_rows(n, i), k, None))[i]
@@ -151,8 +152,8 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
     Row K is a sliding window of N entries over row K-1: each entry adds
     the one entering the window and subtracts the one leaving it,
     C_N(K, i) = C_N(K, i-1) + C_N(K-1, i) - C_N(K-1, i-N), so each cell
-    costs O(1).  ``_rows_at`` reads it at or above N and uses the
-    closed-form rows below N.
+    costs O(1).  Only ``NomialTable``, which needs every row, and the
+    oracle ``nomial_recursive`` read it.
     """
     row = [1]
     for k in itertools.count(1):
@@ -163,21 +164,26 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
 
 
 def _rows_at(n: int, width: int, ks: Iterable[int]) -> dict[int, list[int]]:
-    """Rows K in ``ks`` of ``_rows(n, width)``, each cut at ``width``, keyed by K.
+    """Rows C_N(K, 0..min(width, (N-1)K)) for each K in ``ks``, keyed by K.
 
-    At or above N (width >= N) they all come from one pass of the
-    window, which stops at the largest K asked for; below N they are the
-    closed-form rows multichoose(K, 0..min(width, (N-1)K)), one running
-    product each.
+    Each row is its own run of the D-finite recurrence of ((1 - x^N)/(1 - x))^K,
+
+        (m+1) a[m+1] = (m+K) a[m] + (m+1-N-KN) a[m+1-N] + (K(N-1)-m+N) a[m-N],
+
+    with a[0] = 1, a[j < 0] = 0 and an exact division: three
+    big-integer-by-small products per entry, whatever K is.  Below N the
+    last two terms vanish, so those N-1 steps run as a plain product.
     """
-    wanted = set(ks)
-    if width >= n:
-        return {k: row for k, row in zip(range(max(wanted) + 1), _rows(n, width)) if k in wanted}
     rows = {}
-    for k in wanted:
-        row = rows[k] = [1]
-        for t in range(min(width, (n - 1) * k)):
-            row.append(row[-1] * (k + t) // (t + 1))
+    for k in set(ks):
+        top = min(width, (n - 1) * k)
+        a = [0, 1]  # a[j + 1] = C_N(K, j); the leading 0 is C_N(K, -1)
+        for m in range(min(top, n - 1)):
+            a.append(a[-1] * (m + k) // (m + 1))
+        for m in range(n - 1, top):
+            a.append(((m + k) * a[m + 1] + (m + 1 - n - k * n) * a[m + 2 - n]
+                      + (k * (n - 1) - m + n) * a[m + 1 - n]) // (m + 1))
+        rows[k] = a[1:]
     return rows
 
 
@@ -185,7 +191,7 @@ def polynomial_expand(n: int, k: int) -> list[int]:
     """Exact integer coefficients of (1 + x + ... + x^(N-1))^K.
 
     The coefficient of x^i is C_N(K, i); this is the generating-function
-    route, read as the full row K of the shared sliding-window step.
+    route, the full row K from one run of ``_rows_at``'s recurrence.
     """
     _check_sum_space(n, k, 0)
     return _rows_at(n, (n - 1) * k, (k,))[k]
@@ -195,10 +201,9 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?
 
     The rows K1, K2 and K1+K2 are cut at min(i, T - i) with
-    T = (N-1)(K1+K2) and read from one pass of the row step, at
-    O((K1+K2)*min(i, T - i)) cost (below N, from the closed form).  So
-    the check holds the window's row K1+K2 against the convolution of
-    its own earlier rows.  Reflecting every level maps the split at i
+    T = (N-1)(K1+K2), each from its own run of ``_rows_at``'s recurrence
+    at O(min(i, T - i)) steps, so the check holds one run against the
+    convolution of two others.  Reflecting every level maps the split at i
     term by term onto the split at T - i (i1 -> (N-1)K1 - i1), so both
     cuts check the same sum.
     """

@@ -180,7 +180,8 @@ def _multichoose_prefix_identities() -> str:
 def _nomial_route_agreement(max_levels: int, max_size: int, budget: int) -> str:
     cases = 0
     for n, k, i in _spaces(max_levels, max_size, min_size=0):
-        values = {nomial(n, k, i), nomial_via_multisets(n, k, i), nomial_recursive(n, k, i)}
+        values = {nomial(n, k, i), nomial_via_multisets(n, k, i), nomial_recursive(n, k, i),
+                  polynomial_expand(n, k)[i]}
         if n ** k <= budget:
             values.add(nomial_enum_sequences(n, k, i, budget))
         if k >= 1 and i < n:

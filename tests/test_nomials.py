@@ -3,6 +3,7 @@ import pytest
 from discrete_boltzmann import (
     NomialTable,
     binom,
+    microstate_uniform,
     multichoose,
     nomial,
     nomial_closed_form,
@@ -50,6 +51,18 @@ class TestSequenceRoute:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             nomial_enum_sequences(10, 9, 5, budget=10 ** 6)
+
+    def test_budget_guard_at_its_boundary(self):
+        assert nomial_enum_sequences(2, 10, 3, budget=2 ** 10) == binom(10, 3)
+        with pytest.raises(ValueError, match=r"^enumeration of 2\*\*10 sequences exceeds budget 1023$"):
+            nomial_enum_sequences(2, 10, 3, budget=2 ** 10 - 1)
+
+    def test_budget_guard_refuses_a_huge_power_without_computing_it(self):
+        message = r"^enumeration of 1000\*\*2000000 sequences exceeds budget 10000000$"
+        with pytest.raises(ValueError, match=message):
+            nomial_enum_sequences(1000, 2_000_000, 5)
+        with pytest.raises(ValueError, match=message):
+            microstate_uniform(1000, 2_000_000, 5)
 
 
 class TestMultisetRoute:

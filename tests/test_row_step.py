@@ -1,11 +1,13 @@
-"""The one N-nomial row step, held against references that share none of it.
+"""The two N-nomial row steps, held against references that share none of them.
 
-Every multi-entry reader of the N-nomial triangle (the recursion, the
-polynomial expansion, ``NomialTable``, the numbers family, the
-Vandermonde split and the nomial draw distribution) reads rows of one
-sliding-window generator.  These tests check them at the benchmark's
-counting sizes against an inclusion-exclusion oracle, and check the row
-readers against the per-entry code they replace.
+``NomialTable`` and the recursion read the sliding-window generator
+``_rows``; every other multi-entry reader of the N-nomial triangle (the
+polynomial expansion, the numbers family, the Vandermonde split, the
+nomial draw distribution and the per-kind level family) reads rows of
+``_rows_at``, one run of the D-finite row recurrence per row.  These
+tests check both at the benchmark's counting sizes against an
+inclusion-exclusion oracle, hold the recurrence against the window, and
+check the row readers against the per-entry code they replace.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from discrete_boltzmann import (
     GroundSet,
     Multiset,
     NomialTable,
+    boltzmann_multi_on_levels,
     boltzmann_on_energy,
     boltzmann_on_numbers,
     enumerate_multisets,
@@ -29,8 +32,9 @@ from discrete_boltzmann import (
     polynomial_expand,
     vandermonde_check,
 )
-from discrete_boltzmann import boltzmann, nomials
+from discrete_boltzmann import boltzmann, multivariate, nomials
 from discrete_boltzmann.nomials import _rows, _rows_at
+from test_count_core import numbers_cases
 
 LEVELS = (1, 2, 3, 4, 5, 7, 10, 16, 23, 30)
 LENGTHS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100)
@@ -167,8 +171,70 @@ class TestClosedFormRow:
         assert got == expected and got.support == expected.support
 
 
+def window_row(n: int, k: int, width: int) -> list[int]:
+    """Row K of the sliding window cut at ``width``."""
+    return next(itertools.islice(_rows(n, width), k, None))
+
+
+class TestRecurrence:
+    """``_rows_at`` runs the D-finite recurrence, one run per row."""
+
+    def test_rows_equal_the_window(self):
+        for n in range(1, 9):
+            for k in range(13):
+                top = (n - 1) * k
+                for w in sorted({0, 1, n - 1, n, top // 2, top, top + 1}):
+                    assert _rows_at(n, w, (k,))[k] == window_row(n, k, w), (n, k, w)
+
+    def test_rows_asked_for_together_equal_rows_asked_for_alone(self):
+        rows = _rows_at(7, 40, (9, 3, 0, 9, 12))
+        assert sorted(rows) == [0, 3, 9, 12]
+        assert all(rows[k] == _rows_at(7, 40, (k,))[k] for k in rows)
+
+    @pytest.mark.parametrize("n, k, i", [(100, 400, 19800), (200, 800, 158000)])
+    def test_rows_of_the_numbers_family_against_the_oracle(self, n, k, i):
+        w = min(i, (n - 1) * k - i)
+        rows = _rows_at(n, w, (k - 1, k))
+        for kk in (k - 1, k):
+            row = rows[kk]
+            assert len(row) == w + 1
+            # every entry below 2N, a spread of the rest, and the cut
+            sample = set(range(2 * n)) | set(range(0, w + 1, 997)) | {w - n - 1, w - n, w - 1, w}
+            for m in sorted(sample):
+                assert row[m] == oracle(n, kk, m), (n, kk, m)
+
+
+class TestReadersUnchanged:
+    """Values and support order of the recurrence's readers equal those
+    read from the window, on the count core's numbers-family cases."""
+
+    @staticmethod
+    def window_numbers(n: int, k: int, i: int) -> Dist:
+        """The numbers family with rows K-1 and K from one window pass,
+        each entry read at the shorter side of its palindromic row."""
+        w = min(i, (n - 1) * k - i)
+        rows = list(itertools.islice(_rows(n, w), k + 1))
+
+        def value(kk, m):
+            return rows[kk][min(m, (n - 1) * kk - m)]
+
+        js = range(max(0, i - (n - 1) * (k - 1)), min(n - 1, i) + 1)
+        return Dist([(j, value(k - 1, i - j)) for j in js], value(k, i))
+
+    def test_numbers_family(self):
+        for n, k, i in numbers_cases():
+            got, expected = boltzmann_on_numbers(n, k, i), self.window_numbers(n, k, i)
+            assert got == expected and got.support == expected.support, (n, k, i)
+            assert got.numerators() == expected.numerators(), (n, k, i)
+
+    def test_vandermonde_splits(self):
+        for n, k, i in numbers_cases():
+            for k1 in sorted({0, 1, k // 2, k - 1, k}):
+                assert vandermonde_check(n, k1, k - k1, i) is True, (n, k1, k - k1, i)
+
+
 class TestOnePass:
-    """Each reader makes at most one pass of the row step per call."""
+    """Only ``NomialTable`` and the recursion make a pass of the window."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -184,11 +250,23 @@ class TestOnePass:
     @pytest.mark.parametrize("i", [1450, 2000])
     def test_numbers_family_at_or_above_n(self, passes, i):
         boltzmann_on_numbers(30, 100, i)  # T = 2900: at T/2 and on the mirrored side
-        assert passes == [(30, min(i, 2900 - i))]
+        assert passes == []
 
     def test_vandermonde_split(self, passes):
         assert vandermonde_check(30, 60, 40, 1450) is True
-        assert passes == [(30, 1450)]
+        assert passes == []
+
+    def test_expansion(self, passes):
+        polynomial_expand(7, 30)
+        assert passes == []
+
+    def test_urn_rows(self, passes, monkeypatch):
+        # their normalizer ``nomial`` may read the window; the oracle stands in for it here
+        monkeypatch.setattr(multivariate, "nomial", oracle)
+        psi = Multiset(GroundSet(["a", "b", "c"]), {"a": 6, "b": 6, "c": 6})
+        nomial_distribution(20, psi, 5)
+        boltzmann_multi_on_levels(6, psi, 45)
+        assert passes == []
 
     def test_numbers_family_below_n(self, passes, monkeypatch):
         normalizers = []
@@ -204,3 +282,7 @@ class TestOnePass:
     def test_recursion_still_reads_the_window(self, passes):
         assert nomial_recursive(4, 5, 2) == oracle(4, 5, 2)
         assert passes == [(4, 2)]
+
+    def test_table_reads_the_window(self, passes):
+        NomialTable(5, 7)
+        assert passes == [(5, 28)]
