@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
 from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum, multichoose
-from .nomials import DEFAULT_BUDGET, _rows_at, _sequences_with_sum, nomial
+from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
 
 __all__ = [
     "boltzmann_on_multisets",
@@ -58,11 +58,8 @@ def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
     top = (n - 1) * (k - 1)
     lo, hi = max(0, i - top), min(n - 1, i)
     w = min(i, (n - 1) * k - i)
-    if w < n:
-        row, total = _rows_at(n, w, (k - 1,))[k - 1], multichoose(k, w)
-    else:
-        rows = _rows_at(n, w, (k - 1, k))
-        row, total = rows[k - 1], rows[k][w]
+    row = _row(n, k - 1, w)
+    total = multichoose(k, w) if w < n else _row(n, k, w)[w]
     if 2 * i > (n - 1) * k:
         weights = row[top - i + lo:]  # C_N(K-1, T'-i+lo..T'-i+hi)
     else:

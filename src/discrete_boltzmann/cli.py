@@ -201,7 +201,6 @@ def _cmd_approx_compare(args) -> int:
         }
         print(json.dumps(payload))
         return 0
-    from fractions import Fraction
     pdf = continuous_exponential_pdf(report.mu)
     names = [c.name for c in report.candidates]
     print("j,reference," + ",".join(names) + ",continuous_pdf")
@@ -209,13 +208,14 @@ def _cmd_approx_compare(args) -> int:
     columns = [(dict(d.numerators()), d.denominator)
                for d in (report.reference, *(c.dist for c in report.candidates))]
     for step in range(args.total_energy * grid + 1):
-        x = Fraction(step, grid)
-        cells = [f"{float(x):.12g}"]
-        if x.denominator == 1:
-            cells.extend(f"{num.get(int(x), 0) / den:.12g}" for num, den in columns)
+        j, r = divmod(step, grid)
+        x = step / grid  # int true division rounds correctly, as Fraction.__float__ does
+        cells = [f"{x:.12g}"]
+        if r == 0:
+            cells.extend(f"{num.get(j, 0) / den:.12g}" for num, den in columns)
         else:
             cells.extend([""] * len(columns))
-        cells.append(f"{pdf(float(x)):.12g}")
+        cells.append(f"{pdf(x):.12g}")
         print(",".join(cells))
     return 0
 

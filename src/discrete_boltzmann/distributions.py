@@ -9,10 +9,11 @@ is whole (an int, or a ``Fraction`` with denominator 1, as the counts of
 every family are) the lcm is 1 and each weight's numerator is stored as
 it is, with no per-element scaling.
 
-The exact families (the numbers, energy and multiset families, ``flrn``,
-the shift-chain and level-chain rows, the geometric and lifted
-exponential weights of ``approx``, and the urn distributions and tuple
-Boltzmann families of ``multivariate``) hand their counts to one private core,
+The exact families (the numbers, energy and multiset families, the
+multiset-coefficient distribution, ``flrn``, the shift-chain and
+level-chain rows, the geometric and lifted exponential weights of
+``approx``, and the urn distributions and tuple Boltzmann families of
+``multivariate``) hand their counts to one private core,
 ``Dist._from_counts(support, counts, total)``, whose support elements
 are distinct by construction: one ``zip`` builds the numerators, zero
 counts are dropped, and there is no per-element type test, fraction
@@ -218,8 +219,8 @@ def pushforward(channel: Union[Channel, Callable[[Any], Dist]], omega: Dist) -> 
 
 def multiset_coefficient_distribution(ground: GroundSet, k: int) -> Dist:
     """Weight coefficient(phi) / N^k on every size-k multiset over the ground."""
-    return Dist(((phi, coefficient(phi)) for phi in enumerate_multisets(ground, k)),
-                len(ground) ** k)
+    states = list(enumerate_multisets(ground, k))
+    return Dist._from_counts(states, list(map(coefficient, states)), len(ground) ** k)
 
 
 # the exact types of a numeric support; bool, an int subclass, is not one

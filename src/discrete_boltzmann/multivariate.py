@@ -1,17 +1,19 @@
 """Multiset-indexed coefficients and the multivariate urn distributions.
 
 Binomial, multichoose, and N-nomial coefficients extend from numbers to
-multisets as per-label products.  The extensions obey multivariate
-Vandermonde identities, which normalize three distributions on draws
-from an urn psi:
+multisets as per-label products (``mult_binom``, ``mult_multichoose``,
+``nomial_coeff_multisets``).  Three distributions on the size-K draws
+phi from an urn psi of size L weigh phi by prod_x C_N(psi(x), phi(x)),
+one N-nomial row per label (``_draws``), and differ only in N and caps:
 
-* hypergeometric (draw and remove): binom(psi, phi) / binom(L, K) on the
-  sub-multisets phi of psi of size K;
-* Polya (draw and duplicate): multichoose(psi, phi) / multichoose(L, K)
-  on all size-K multisets;
-* the nomial distribution: C_N(psi, phi) / C_N(L, i) on the size-i
-  multisets below (N-1)*psi, with N the number of colours.
+* hypergeometric (draw and remove): N = 2 under caps psi, as
+  binom(s, c) = C_2(s, c), over binom(L, K);
+* Polya (draw and duplicate): N = K + 1 under caps K, as
+  multichoose(s, c) = C_(K+1)(s, c) for c <= K, over multichoose(L, K);
+* the nomial distribution of total i: N (by default the number of
+  colours) under caps (N-1)*psi, over C_N(L, i).
 
+So the exact-sum check in ``Dist`` is a multivariate Vandermonde identity.
 All three push forward along frequentist learning to flrn(psi) exactly.
 A Boltzmann family on tuples of configurations, one per particle kind,
 closes the construction.  Read on levels through frequentist learning,
@@ -37,7 +39,7 @@ from .multisets import (
     leq,
     multichoose,
 )
-from .nomials import _rows_at, nomial
+from .nomials import _row, nomial
 
 __all__ = [
     "mult_binom",
@@ -73,16 +75,22 @@ def mult_multichoose(psi: Multiset, phi: Multiset) -> int:
     return out
 
 
+def _draws(psi: Multiset, k: int, n: int, caps: dict | None, total: int) -> Dist:
+    """The size-k draws phi from the urn psi under ``caps`` (None caps
+    every label at k), each weighing prod_x C_N(psi(x), phi(x)) over
+    ``total``, read from one row ``_row(n, psi(x), k)`` per label."""
+    rows = [_row(n, c, k) for c in psi.counts_vector()]
+    draws = list(enumerate_multisets(psi.ground, k, caps=caps))
+    return Dist._from_counts(
+        draws, [math.prod(map(getitem, rows, phi.counts_vector())) for phi in draws], total)
+
+
 def hypergeometric(k: int, psi: Multiset) -> Dist:
     """Draw-and-remove distribution of k draws from the urn psi."""
     total_size = psi.size
     if not 0 <= k <= total_size:
         raise ValueError(f"cannot draw {k} from an urn of size {total_size}")
-    sizes = psi.counts_vector()
-    draws = list(enumerate_multisets(psi.ground, k, caps=dict(psi.items())))
-    return Dist._from_counts(
-        draws, [math.prod(map(binom, sizes, phi.counts_vector())) for phi in draws],
-        binom(total_size, k))
+    return _draws(psi, k, 2, dict(psi.items()), binom(total_size, k))
 
 
 def polya(k: int, psi: Multiset) -> Dist:
@@ -90,13 +98,9 @@ def polya(k: int, psi: Multiset) -> Dist:
     if k < 0:
         raise ValueError("draw size must be a natural")
     total = multichoose(psi.size, k)  # an empty urn fails here, before any draw
-    sizes = psi.counts_vector()
-    if min(sizes) < 1:  # one check for all draws, with mult_multichoose's message
+    if min(psi.counts_vector()) < 1:  # one check for all draws, with mult_multichoose's message
         raise ValueError("mult_multichoose needs psi(x) >= 1 on every label")
-    draws = list(enumerate_multisets(psi.ground, k))
-    return Dist._from_counts(
-        draws, [math.prod(map(multichoose, sizes, phi.counts_vector())) for phi in draws],
-        total)
+    return _draws(psi, k, k + 1, None, total)
 
 
 def nomial_coeff_multisets(n: int, psi: Multiset, phi: Multiset) -> int:
@@ -122,13 +126,7 @@ def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
     total_size = psi.size
     _check_sum_space(n, total_size, i, k_min=1)
     caps = {x: (n - 1) * c for x, c in psi.items()}
-    sizes = psi.counts_vector()
-    rows = _rows_at(n, i, sizes)
-    label_rows = [rows[c] for c in sizes]  # C_N(psi(x), 0..i) for each label x
-    draws = list(enumerate_multisets(psi.ground, i, caps=caps))
-    return Dist._from_counts(
-        draws, [math.prod(map(getitem, label_rows, phi.counts_vector())) for phi in draws],
-        nomial(n, total_size, i))
+    return _draws(psi, i, n, caps, nomial(n, total_size, i))
 
 
 def boltzmann_multi(n: int, psi: Multiset, i: int) -> Dist:
@@ -173,7 +171,7 @@ def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
         raise ValueError("componentwise learning needs psi(x) >= 1 on every kind")
     k, kinds = psi.size, len(psi.ground)
     _check_sum_space(n, k, i, k_min=1)
-    rest = _rows_at(n, i, (k - kinds,))[k - kinds]  # C_N(K - L, 0..i)
+    rest = _row(n, k - kinds, i)  # C_N(K - L, 0..i)
     caps = {x: n - 1 for x in psi.ground}
     support = [phi.counts_vector()
                for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1)

@@ -11,11 +11,11 @@ verification sweep hold them against each other.
 Row K of the triangle holds the coefficients of (1 + x + ... + x^(N-1))^K.
 Two row steps, which share no code, build it.  The sliding window
 ``_rows`` makes row K from row K-1 at O(1) per cell, for ``NomialTable``
-and the recursion oracle.  ``_rows_at`` runs the D-finite recurrence of
-each row it is asked for on its own, at O(1) big-integer steps per entry;
-every other reader asks it for its rows, so rows read together (the
-numbers family's K-1 and K, the Vandermonde split's K1, K2 and K1+K2)
-are independent runs.
+and the recursion oracle.  ``_row(n, k, width)`` runs the D-finite
+recurrence of one row, at O(1) big-integer steps per entry; every other
+reader calls it once per row it reads, so rows read together (the
+numbers family's K-1 and K, the Vandermonde split's K1, K2 and K1+K2,
+an urn's per-label rows) are independent runs.
 
 Every row is a palindrome: level reversal j -> N-1-j preserves multiset
 coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from operator import sub
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .multisets import (
     _check_sum_space,
@@ -92,7 +92,7 @@ def nomial_recursive(n: int, k: int, i: int) -> int:
     admissible next entries j < min(level+1, N).  Rows are built in
     increasing size order (so no recursion depth limit applies) and cut
     at level i, so the whole evaluation costs O(K*i) additions.  It
-    reads the window at every i, never ``_rows_at``'s recurrence.
+    reads the window at every i, never ``_row``'s recurrence.
     """
     _check_sum_space(n, k, i)
     return next(itertools.islice(_rows(n, i), k, None))[i]
@@ -163,10 +163,10 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
         row = list(itertools.accumulate(map(sub, padded, itertools.chain([0] * n, padded))))
 
 
-def _rows_at(n: int, width: int, ks: Iterable[int]) -> dict[int, list[int]]:
-    """Rows C_N(K, 0..min(width, (N-1)K)) for each K in ``ks``, keyed by K.
+def _row(n: int, k: int, width: int) -> list[int]:
+    """Row K of the triangle cut at ``width``: C_N(K, 0..min(width, (N-1)K)).
 
-    Each row is its own run of the D-finite recurrence of ((1 - x^N)/(1 - x))^K,
+    One run of the D-finite recurrence of ((1 - x^N)/(1 - x))^K,
 
         (m+1) a[m+1] = (m+K) a[m] + (m+1-N-KN) a[m+1-N] + (K(N-1)-m+N) a[m-N],
 
@@ -174,34 +174,31 @@ def _rows_at(n: int, width: int, ks: Iterable[int]) -> dict[int, list[int]]:
     big-integer-by-small products per entry, whatever K is.  Below N the
     last two terms vanish, so those N-1 steps run as a plain product.
     """
-    rows = {}
-    for k in set(ks):
-        top = min(width, (n - 1) * k)
-        a = [0, 1]  # a[j + 1] = C_N(K, j); the leading 0 is C_N(K, -1)
-        for m in range(min(top, n - 1)):
-            a.append(a[-1] * (m + k) // (m + 1))
-        for m in range(n - 1, top):
-            a.append(((m + k) * a[m + 1] + (m + 1 - n - k * n) * a[m + 2 - n]
-                      + (k * (n - 1) - m + n) * a[m + 1 - n]) // (m + 1))
-        rows[k] = a[1:]
-    return rows
+    top = min(width, (n - 1) * k)
+    a = [0, 1]  # a[j + 1] = C_N(K, j); the leading 0 is C_N(K, -1)
+    for m in range(min(top, n - 1)):
+        a.append(a[-1] * (m + k) // (m + 1))
+    for m in range(n - 1, top):
+        a.append(((m + k) * a[m + 1] + (m + 1 - n - k * n) * a[m + 2 - n]
+                  + (k * (n - 1) - m + n) * a[m + 1 - n]) // (m + 1))
+    return a[1:]
 
 
 def polynomial_expand(n: int, k: int) -> list[int]:
     """Exact integer coefficients of (1 + x + ... + x^(N-1))^K.
 
     The coefficient of x^i is C_N(K, i); this is the generating-function
-    route, the full row K from one run of ``_rows_at``'s recurrence.
+    route, the full row K from one run of ``_row``'s recurrence.
     """
     _check_sum_space(n, k, 0)
-    return _rows_at(n, (n - 1) * k, (k,))[k]
+    return _row(n, k, (n - 1) * k)
 
 
 def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?
 
     The rows K1, K2 and K1+K2 are cut at min(i, T - i) with
-    T = (N-1)(K1+K2), each from its own run of ``_rows_at``'s recurrence
+    T = (N-1)(K1+K2), each from its own run of ``_row``'s recurrence
     at O(min(i, T - i)) steps, so the check holds one run against the
     convolution of two others.  Reflecting every level maps the split at i
     term by term onto the split at T - i (i1 -> (N-1)K1 - i1), so both
@@ -211,11 +208,11 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
         raise ValueError("lengths must be naturals")
     _check_sum_space(n, k1 + k2, i)
     i = min(i, (n - 1) * (k1 + k2) - i)
-    rows = _rows_at(n, i, (k1, k2, k1 + k2))
+    row1, row2 = _row(n, k1, i), _row(n, k2, i)
     lo = max(0, i - (n - 1) * k2)
     hi = min((n - 1) * k1, i)
-    split = sum(rows[k1][i1] * rows[k2][i - i1] for i1 in range(lo, hi + 1))
-    return rows[k1 + k2][i] == split
+    split = sum(row1[i1] * row2[i - i1] for i1 in range(lo, hi + 1))
+    return _row(n, k1 + k2, i)[i] == split
 
 
 class NomialTable:

@@ -431,33 +431,35 @@ def _random_urn(rng: random.Random, max_labels: int, max_total: int) -> Multiset
 
 
 def _multivariate_identities(trials: int, seed: int = 2024) -> str:
+    """On random urns, each urn law's draws against their label-by-label
+    oracle: the oracles sum to the law's normalizer (the Vandermonde
+    identity), every draw weighs its oracle over that normalizer, and the
+    law pushes forward along frequentist learning to flrn(psi)."""
     rng = random.Random(seed)
     for _ in range(trials):
         psi = _random_urn(rng, 4, 8)
         total = psi.size
         k = rng.randint(0, total)
-        caps = dict(psi.items())
-        if sum(mult_binom(psi, phi)
-               for phi in enumerate_multisets(psi.ground, k, caps=caps)) != binom(total, k):
-            _fail(f"binomial Vandermonde fails for {psi}, K={k}")
-        if sum(mult_multichoose(psi, phi)
-               for phi in enumerate_multisets(psi.ground, k)) != multichoose(total, k):
-            _fail(f"multichoose Vandermonde fails for {psi}, K={k}")
         n = rng.randint(2, 5)
         i = rng.randint(0, (n - 1) * total)
-        caps_n = {x: (n - 1) * c for x, c in psi.items()}
-        if sum(nomial_coeff_multisets(n, psi, phi)
-               for phi in enumerate_multisets(psi.ground, i, caps=caps_n)) != nomial(n, total, i):
-            _fail(f"nomial Vandermonde fails for {psi}, N={n}, i={i}")
         learned = flrn(psi)
-        if k >= 1:
-            if pushforward(Channel(flrn), hypergeometric(k, psi)) != learned:
-                _fail(f"hypergeometric learning law fails for {psi}, K={k}")
-            if pushforward(Channel(flrn), polya(k, psi)) != learned:
-                _fail(f"Polya learning law fails for {psi}, K={k}")
-        if i >= 1:
-            if pushforward(Channel(flrn), nomial_distribution(i, psi, n)) != learned:
-                _fail(f"nomial learning law fails for {psi}, N={n}, i={i}")
+        laws = [
+            ("binomial", "hypergeometric", f"K={k}", k, dict(psi.items()),
+             hypergeometric(k, psi), binom(total, k), lambda phi: mult_binom(psi, phi)),
+            ("multichoose", "Polya", f"K={k}", k, None,
+             polya(k, psi), multichoose(total, k), lambda phi: mult_multichoose(psi, phi)),
+            ("nomial", "nomial", f"N={n}, i={i}", i, {x: (n - 1) * c for x, c in psi.items()},
+             nomial_distribution(i, psi, n), nomial(n, total, i),
+             lambda phi: nomial_coeff_multisets(n, psi, phi)),
+        ]
+        for identity, name, at, size, caps, dist, norm, oracle in laws:
+            weights = {phi: oracle(phi) for phi in enumerate_multisets(psi.ground, size, caps=caps)}
+            if sum(weights.values()) != norm:
+                _fail(f"{identity} Vandermonde fails for {psi}, {at}")
+            if any(dist(phi) * norm != w for phi, w in weights.items()):
+                _fail(f"{name} draw weight differs from its oracle for {psi}, {at}")
+            if size >= 1 and pushforward(Channel(flrn), dist) != learned:
+                _fail(f"{name} learning law fails for {psi}, {at}")
     return f"{trials} random urns"
 
 

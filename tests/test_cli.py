@@ -176,7 +176,8 @@ class TestApproxCommand:
         names = [c["name"] for c in payload["candidates"]]
         assert names == ["ratio", "discrete-exponential", "max-entropy"]
 
-    @pytest.mark.parametrize("energy, particles, grid", [(30, 2, 1), (120, 7, 2), (200, 50, 3)])
+    @pytest.mark.parametrize("energy, particles, grid",
+                             [(30, 2, 1), (120, 7, 2), (200, 50, 3), (40, 3, 7)])
     def test_compare_csv_cells_are_the_exact_weights_as_decimals(self, capsys, energy,
                                                                    particles, grid):
         report = compare(energy, particles)

@@ -29,6 +29,7 @@ from discrete_boltzmann import (
     flrn_dagger,
     hypergeometric,
     max_entropy_dist,
+    multiset_coefficient_distribution,
     nomial_distribution,
     parse_multiset,
     polya,
@@ -208,6 +209,19 @@ class TestParity:
                     dist = boltzmann_on_multisets(n, k, i)
                     assert handed_over[-1][3] is dist
                     assert_parity(handed_over)
+
+    @pytest.mark.parametrize("ground", [GroundSet(range(m)) for m in range(1, 5)]
+                             + [GroundSet(["red", "green", "blue"])])
+    def test_multiset_coefficient_distribution(self, handed_over, ground):
+        for k in range(6):
+            handed_over.clear()
+            dist = multiset_coefficient_distribution(ground, k)
+            assert len(handed_over) == 1 and handed_over[0][3] is dist
+            assert_parity(handed_over)
+
+    def test_multiset_coefficient_distribution_refuses_a_negative_size(self):
+        with pytest.raises(ValueError, match="^size must be a natural$"):
+            multiset_coefficient_distribution(GroundSet("ab"), -1)
 
     def test_level_chain_rows_with_zero_counts(self, handed_over):
         zeros = 0

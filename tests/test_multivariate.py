@@ -37,6 +37,7 @@ from discrete_boltzmann import (
     pushforward,
 )
 from discrete_boltzmann import multivariate
+from test_count_core import URNS
 
 F = Fraction
 
@@ -133,6 +134,57 @@ class TestDrawDistributions:
     def test_polya_support_is_unrestricted(self):
         psi = urn("1|a> + 1|b>")
         assert len(polya(3, psi)) == multichoose(2, 3)
+
+
+def oracle_numerators(psi, size, caps, weight, total):
+    """(numerators, denominator) of the draws in enumeration order, each
+    weighing ``weight(phi)`` over ``total``, reduced by their common gcd."""
+    pairs = [(phi, weight(phi)) for phi in enumerate_multisets(psi.ground, size, caps=caps)]
+    g = math.gcd(total, *(w for _, w in pairs))
+    return tuple((phi, w // g) for phi, w in pairs if w), total // g
+
+
+PER_DRAW_URNS = [urn(text) for text in URNS] + [
+    Multiset(GroundSet("abc"), {"a": 2, "b": 0, "c": 3})]  # one label holds no ball
+
+
+class TestPerDrawWeights:
+    """Every draw of the three urn laws weighs its label-by-label oracle
+    product over the law's normalizer, in the enumeration's order."""
+
+    @staticmethod
+    def assert_draws(dist, expected):
+        numerators, denominator = expected
+        assert dist.numerators() == numerators
+        assert dist.denominator == denominator
+
+    @pytest.mark.parametrize("psi", PER_DRAW_URNS, ids=str)
+    def test_hypergeometric(self, psi):
+        for k in range(psi.size + 1):
+            self.assert_draws(hypergeometric(k, psi), oracle_numerators(
+                psi, k, dict(psi.items()), lambda phi: mult_binom(psi, phi),
+                binom(psi.size, k)))
+
+    @pytest.mark.parametrize("psi", PER_DRAW_URNS, ids=str)
+    def test_polya(self, psi):
+        for k in range(psi.size + 1):
+            if min(psi.counts_vector()) < 1:
+                with pytest.raises(ValueError, match="needs psi\\(x\\) >= 1 on every label"):
+                    polya(k, psi)
+                continue
+            self.assert_draws(polya(k, psi), oracle_numerators(
+                psi, k, None, lambda phi: mult_multichoose(psi, phi),
+                multichoose(psi.size, k)))
+
+    @pytest.mark.parametrize("psi", PER_DRAW_URNS, ids=str)
+    @pytest.mark.parametrize("n", [None, 2, 3])
+    def test_nomial_distribution(self, psi, n):
+        levels = len(psi.ground) if n is None else n
+        caps = {x: (levels - 1) * c for x, c in psi.items()}
+        for i in range((levels - 1) * psi.size + 1):
+            self.assert_draws(nomial_distribution(i, psi, n), oracle_numerators(
+                psi, i, caps, lambda phi: nomial_coeff_multisets(levels, psi, phi),
+                nomial(levels, psi.size, i)))
 
 
 class TestNomialCoefficients:

@@ -3,8 +3,8 @@
 ``NomialTable`` and the recursion read the sliding-window generator
 ``_rows``; every other multi-entry reader of the N-nomial triangle (the
 polynomial expansion, the numbers family, the Vandermonde split, the
-nomial draw distribution and the per-kind level family) reads rows of
-``_rows_at``, one run of the D-finite row recurrence per row.  These
+urn draw distributions and the per-kind level family) reads rows of
+``_row``, one run of the D-finite row recurrence per row.  These
 tests check both at the benchmark's counting sizes against an
 inclusion-exclusion oracle, hold the recurrence against the window, and
 check the row readers against the per-entry code they replace.
@@ -25,15 +25,17 @@ from discrete_boltzmann import (
     boltzmann_on_energy,
     boltzmann_on_numbers,
     enumerate_multisets,
+    hypergeometric,
     nomial,
     nomial_coeff_multisets,
     nomial_distribution,
     nomial_recursive,
+    polya,
     polynomial_expand,
     vandermonde_check,
 )
 from discrete_boltzmann import boltzmann, multivariate, nomials
-from discrete_boltzmann.nomials import _rows, _rows_at
+from discrete_boltzmann.nomials import _row, _rows
 from test_count_core import numbers_cases
 
 LEVELS = (1, 2, 3, 4, 5, 7, 10, 16, 23, 30)
@@ -156,7 +158,7 @@ class TestClosedFormRow:
             for k in range(31):
                 for w in range(n):
                     window = next(itertools.islice(_rows(n, w), k, None))
-                    assert _rows_at(n, w, (k,))[k] == window, (n, k, w)
+                    assert _row(n, k, w) == window, (n, k, w)
 
     @staticmethod
     def per_weight_numbers(n: int, k: int, i: int) -> Dist:
@@ -177,26 +179,20 @@ def window_row(n: int, k: int, width: int) -> list[int]:
 
 
 class TestRecurrence:
-    """``_rows_at`` runs the D-finite recurrence, one run per row."""
+    """``_row`` runs the D-finite recurrence of one row."""
 
     def test_rows_equal_the_window(self):
         for n in range(1, 9):
             for k in range(13):
                 top = (n - 1) * k
                 for w in sorted({0, 1, n - 1, n, top // 2, top, top + 1}):
-                    assert _rows_at(n, w, (k,))[k] == window_row(n, k, w), (n, k, w)
-
-    def test_rows_asked_for_together_equal_rows_asked_for_alone(self):
-        rows = _rows_at(7, 40, (9, 3, 0, 9, 12))
-        assert sorted(rows) == [0, 3, 9, 12]
-        assert all(rows[k] == _rows_at(7, 40, (k,))[k] for k in rows)
+                    assert _row(n, k, w) == window_row(n, k, w), (n, k, w)
 
     @pytest.mark.parametrize("n, k, i", [(100, 400, 19800), (200, 800, 158000)])
     def test_rows_of_the_numbers_family_against_the_oracle(self, n, k, i):
         w = min(i, (n - 1) * k - i)
-        rows = _rows_at(n, w, (k - 1, k))
         for kk in (k - 1, k):
-            row = rows[kk]
+            row = _row(n, kk, w)
             assert len(row) == w + 1
             # every entry below 2N, a spread of the rest, and the cut
             sample = set(range(2 * n)) | set(range(0, w + 1, 997)) | {w - n - 1, w - n, w - 1, w}
@@ -265,6 +261,8 @@ class TestOnePass:
         monkeypatch.setattr(multivariate, "nomial", oracle)
         psi = Multiset(GroundSet(["a", "b", "c"]), {"a": 6, "b": 6, "c": 6})
         nomial_distribution(20, psi, 5)
+        hypergeometric(9, psi)
+        polya(9, psi)
         boltzmann_multi_on_levels(6, psi, 45)
         assert passes == []
 
