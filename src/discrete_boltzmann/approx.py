@@ -89,6 +89,16 @@ _LN2 = Fraction("0.6931471805599453094172321214581765680755")
 MAX_LIFT_BITS = 1 << 27
 
 
+def _rate(mu: Fraction) -> float:
+    """1/mu in floats for a mean mu > 0, refused past either end of the float range."""
+    try:
+        return 1.0 / float(mu)
+    except OverflowError:
+        raise ValueError("mean lies farther from 0 than the largest float") from None
+    except ZeroDivisionError:
+        raise ValueError("mean lies closer to 0 than the smallest positive float") from None
+
+
 def discrete_exponential(e: int, mu: Rational) -> Dist:
     """Normalization of e^(-j/mu) over 0..E.
 
@@ -101,9 +111,7 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
     mu = Fraction(mu)
     if e < 1 or mu <= 0:
         raise ValueError("need E >= 1 and mu > 0")
-    if float(mu) == 0:
-        raise ValueError("mean lies closer to 0 than the smallest positive float")
-    rate = 1.0 / float(mu)
+    rate = _rate(mu)
     # the message names the mean by floats: the exact one may have more
     # digits than ``str`` will convert
     if math.exp(-rate * e) < sys.float_info.min and (e + 1) * e / mu / _LN2 > MAX_LIFT_BITS:
@@ -248,7 +256,9 @@ def continuous_exponential_pdf(mu: Rational) -> Callable[[float], float]:
     mu = Fraction(mu)
     if mu <= 0:
         raise ValueError("mu must be positive")
-    rate = 1.0 / float(mu)
+    rate = _rate(mu)
+    if rate == math.inf:
+        raise ValueError("mean lies closer to 0 than the reciprocal of the largest float")
 
     def pdf(x: float) -> float:
         return rate * math.exp(-rate * x) if x >= 0 else 0.0

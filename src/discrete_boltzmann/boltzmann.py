@@ -10,9 +10,10 @@ For K particles spread over the energy levels 0..N-1 with total energy i:
 * on energy: the physically common special case N = E+1, i = E, where
   the weights collapse to multichoose ratios.
 
-The nomial-ratio route is the default for the numbers family (linear
-work instead of configuration enumeration); the pushforward route is
-kept as its oracle.
+The numbers family reads its nomial ratio through ``_level_weights``,
+the one level-sum reader, shared with ``multivariate``'s per-kind levels,
+over C_N(K, i) from multichoose below N, else from its own row run.  The
+pushforward route is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -40,31 +41,26 @@ def boltzmann_on_multisets(n: int, k: int, i: int) -> Dist:
     return Dist._from_counts(states, list(map(coefficient, states)), nomial(n, k, i))
 
 
-def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
-    """Energy level of a random particle, via the nomial ratio.
-
-    Weight of level j is C_N(K-1, i-j) / C_N(K, i); levels j > i carry
-    no weight, so for i < N the support stays within 0..i.  Above half
-    the top sum, 2i > (N-1)K, the weights are read from the shorter side
-    of the palindromic row K-1, C_N(K-1, i-j) = C_N(K-1, T'-i+j) with
-    T' = (N-1)(K-1), so row K-1 is cut at w = min(i, (N-1)K - i) and
-    costs O(w) steps of the row recurrence.  At or above N (w >= N) the
-    normalizer C_N(K, w) is a separate run of the recurrence for row K,
-    so the exact-sum check in ``Dist`` holds one run against another;
-    below N the normalizer is multichoose(K, w), an independent closed
-    form at one ``math.comb``.  The support stays in ascending level order.
-    """
+def _level_weights(n: int, k: int, kinds: int, i: int) -> tuple[range, list[int], int]:
+    """The one level-sum reader: ``kinds`` = L of K particles sum to s in
+    ``sums`` with weight C_N(K-L, i-s) over C_N(K, i).  Row K-L is cut at
+    w = min(i, (N-1)K - i), read mirrored above half the top sum, at O(w)
+    steps; the normalizer is multichoose(K, w) below N, else row K's run."""
     _check_sum_space(n, k, i, k_min=1)
-    top = (n - 1) * (k - 1)
-    lo, hi = max(0, i - top), min(n - 1, i)
+    top = (n - 1) * (k - kinds)
+    lo, hi = max(0, i - top), min((n - 1) * kinds, i)
     w = min(i, (n - 1) * k - i)
-    row = _row(n, k - 1, w)
+    row = _row(n, k - kinds, w)
     total = multichoose(k, w) if w < n else _row(n, k, w)[w]
-    if 2 * i > (n - 1) * k:
-        weights = row[top - i + lo:]  # C_N(K-1, T'-i+lo..T'-i+hi)
-    else:
-        weights = row[i - hi:i - lo + 1][::-1]  # C_N(K-1, i-hi..i-lo)
-    return Dist._from_counts(range(lo, hi + 1), weights, total)
+    if 2 * i > (n - 1) * k:  # C_N(K-L, i-s) = C_N(K-L, T'-i+s) with T' = (N-1)(K-L)
+        return range(lo, hi + 1), row[top - i + lo:], total
+    return range(lo, hi + 1), row[i - hi:i - lo + 1][::-1], total  # C_N(K-L, i-hi..i-lo)
+
+
+def boltzmann_on_numbers(n: int, k: int, i: int) -> Dist:
+    """Energy level j of a random particle, weighing C_N(K-1, i-j) / C_N(K, i):
+    the level-sum reader ``_level_weights`` with one kind, levels ascending."""
+    return Dist._from_counts(*_level_weights(n, k, 1, i))
 
 
 def boltzmann_on_numbers_via_multisets(n: int, k: int, i: int) -> Dist:

@@ -18,7 +18,8 @@ All three push forward along frequentist learning to flrn(psi) exactly.
 A Boltzmann family on tuples of configurations, one per particle kind,
 closes the construction.  Read on levels through frequentist learning,
 that family is one N-nomial row, C_N(K - L, i - sum_x j_x) / C_N(K, i)
-on the level tuples (j_x) with K = |psi| and L kinds, so
+on the level tuples (j_x) with K = |psi| and L kinds, read with its
+normalizer by the numbers family's reader ``boltzmann._level_weights``;
 ``boltzmann_multi_on_levels`` enumerates no configuration.
 """
 
@@ -28,9 +29,11 @@ import itertools
 import math
 from operator import getitem
 
+from .boltzmann import _level_weights
 from .distributions import Dist
 from .multisets import (
     Multiset,
+    _bounded_fill,
     _check_sum_space,
     binom,
     coefficient,
@@ -57,10 +60,7 @@ def mult_binom(psi: Multiset, phi: Multiset) -> int:
     """Product of binom(psi(x), phi(x)) over the ground; needs phi <= psi."""
     if not leq(phi, psi):
         raise ValueError("mult_binom needs phi <= psi pointwise")
-    out = 1
-    for x, c in phi.items():
-        out *= binom(psi(x), c)
-    return out
+    return math.prod(binom(psi(x), c) for x, c in phi.items())
 
 
 def mult_multichoose(psi: Multiset, phi: Multiset) -> int:
@@ -109,10 +109,7 @@ def nomial_coeff_multisets(n: int, psi: Multiset, phi: Multiset) -> int:
         raise ValueError("need N >= 1")
     if not leq(phi, (n - 1) * psi):
         raise ValueError("nomial coefficient needs phi <= (N-1)*psi pointwise")
-    out = 1
-    for x in psi.ground:
-        out *= nomial(n, psi(x), phi(x))
-    return out
+    return math.prod(nomial(n, psi(x), phi(x)) for x in psi.ground)
 
 
 def nomial_distribution(i: int, psi: Multiset, n: int | None = None) -> Dist:
@@ -161,20 +158,15 @@ def boltzmann_multi_on_levels(n: int, psi: Multiset, i: int) -> Dist:
     energy e has level j with count C_N(psi(x) - 1, e - j); the
     multivariate Vandermonde split folds the energy splits together, so
     the level tuple (j_x) of level sum s weighs C_N(K - L, i - s) over
-    C_N(K, i), with K = |psi| and L kinds.  The tuples come by s
-    ascending, then in colex order within s, each entry at most N - 1.
-    The normalizer is ``nomial(n, K, i)``, so the exact-sum check in
-    ``Dist`` is the Vandermonde identity
-    sum_s C_N(L, s) * C_N(K - L, i - s) = C_N(K, i) on every call.
+    C_N(K, i), with K = |psi| and L kinds: the numbers family's reader
+    ``boltzmann._level_weights`` with L kinds, normalizer included.  The
+    tuples come by s ascending, then in colex order within s, each entry
+    at most N - 1.  So the exact-sum check in ``Dist`` is the Vandermonde
+    identity sum_s C_N(L, s) * C_N(K - L, i - s) = C_N(K, i) on every call.
     """
     if any(psi(x) < 1 for x in psi.ground):
         raise ValueError("componentwise learning needs psi(x) >= 1 on every kind")
-    k, kinds = psi.size, len(psi.ground)
-    _check_sum_space(n, k, i, k_min=1)
-    rest = _row(n, k - kinds, i)  # C_N(K - L, 0..i)
-    caps = {x: n - 1 for x in psi.ground}
-    support = [phi.counts_vector()
-               for s in range(max(0, i - len(rest) + 1), min(i, (n - 1) * kinds) + 1)
-               for phi in enumerate_multisets(psi.ground, s, caps=caps)]
-    counts = [rest[i - sum(levels)] for levels in support]
-    return Dist._from_counts(support, counts, nomial(n, k, i))
+    kinds = len(psi.ground)
+    sums, weights, total = _level_weights(n, psi.size, kinds, i)
+    support = [levels for s in sums for levels in _bounded_fill([n - 1] * kinds, s)]
+    return Dist._from_counts(support, [weights[sum(t) - sums.start] for t in support], total)

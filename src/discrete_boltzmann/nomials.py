@@ -14,13 +14,13 @@ Two row steps, which share no code, build it.  The sliding window
 and the recursion oracle.  ``_row(n, k, width)`` runs the D-finite
 recurrence of one row, at O(1) big-integer steps per entry; every other
 reader calls it once per row it reads, so rows read together (the
-numbers family's K-1 and K, the Vandermonde split's K1, K2 and K1+K2,
+level-sum law's K-L and K, the Vandermonde split's K1, K2 and K1+K2,
 an urn's per-label rows) are independent runs.
 
 Every row is a palindrome: level reversal j -> N-1-j preserves multiset
 coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
 T = (N-1)K.  ``nomial``, ``vandermonde_check`` and
-``boltzmann.boltzmann_on_numbers`` read a row cut at i from the shorter
+``boltzmann._level_weights`` read a row cut at i from the shorter
 side, at w = min(i, T - i).  So ``nomial``'s closed form covers the top
 N-1 sums as well as the bottom N, and its window costs O(K*w) cells
 otherwise; the other two run the recurrence at O(w) steps per row.

@@ -95,6 +95,13 @@ COMMAND_DEFERRED = {
         ["boltzmann", "multisets", "--levels", "3", "--particles", "2", "--sum", "2",
          "--format", "csv"],
         {"random"} | _library("markov", "approx", "multivariate", "verify")),
+    "multivariate polya json": (
+        ["multivariate", "polya", "--urn", "1|a> + 2|b>", "--draw", "3", "--format", "json"],
+        {"random"} | _library("markov", "approx", "verify")),
+    "multivariate boltzmann-multi on levels": (
+        ["multivariate", "boltzmann-multi", "--urn", "2|a> + 1|b>", "--levels", "3", "--sum", "4",
+         "--on-levels"],
+        {"random"} | _library("markov", "approx", "verify")),
 }
 
 
