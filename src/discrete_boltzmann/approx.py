@@ -113,10 +113,11 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
         raise ValueError("need E >= 1 and mu > 0")
     rate = _rate(mu)
     # the message names the mean by floats: the exact one may have more
-    # digits than ``str`` will convert
+    # digits than ``str`` will convert, and E/mu may overflow a float
     if math.exp(-rate * e) < sys.float_info.min and (e + 1) * e / mu / _LN2 > MAX_LIFT_BITS:
-        raise ValueError(f"discrete_exponential({e}, {float(mu):.6g}) would hold weights down to "
-                         f"e^(-{rate * e:.6g}) exactly, over {MAX_LIFT_BITS} bits")
+        m = f"{float(mu):.6g}"
+        raise ValueError(f"discrete_exponential({e}, {m}) would hold weights down to "
+                         f"e^(-{e}/{m}) exactly, over {MAX_LIFT_BITS} bits")
     ratios = []
     for j in range(e + 1):
         w = math.exp(-rate * j)

@@ -10,16 +10,15 @@ For K particles spread over the energy levels 0..N-1 with total energy i:
 * on energy: the physically common special case N = E+1, i = E, where
   the weights collapse to multichoose ratios.
 
-The numbers family reads its nomial ratio through ``_level_weights``,
-the one level-sum reader, shared with ``multivariate``'s per-kind levels,
-over C_N(K, i) from multichoose below N, else from its own row run.  The
-pushforward route is kept as its oracle.
+The numbers family reads its nomial ratio through ``_level_weights``, the
+one level-sum reader, shared with ``multivariate``'s per-kind levels, over
+``nomial``'s C_N(K, i).  The pushforward route is kept as its oracle.
 """
 
 from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
-from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum, multichoose
+from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum
 from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
 
 __all__ = [
@@ -45,13 +44,12 @@ def _level_weights(n: int, k: int, kinds: int, i: int) -> tuple[range, list[int]
     """The one level-sum reader: ``kinds`` = L of K particles sum to s in
     ``sums`` with weight C_N(K-L, i-s) over C_N(K, i).  Row K-L is cut at
     w = min(i, (N-1)K - i), read mirrored above half the top sum, at O(w)
-    steps; the normalizer is multichoose(K, w) below N, else row K's run."""
+    steps; the normalizer is ``nomial``'s."""
     _check_sum_space(n, k, i, k_min=1)
     top = (n - 1) * (k - kinds)
     lo, hi = max(0, i - top), min((n - 1) * kinds, i)
-    w = min(i, (n - 1) * k - i)
-    row = _row(n, k - kinds, w)
-    total = multichoose(k, w) if w < n else _row(n, k, w)[w]
+    row = _row(n, k - kinds, min(i, (n - 1) * k - i))
+    total = nomial(n, k, i)
     if 2 * i > (n - 1) * k:  # C_N(K-L, i-s) = C_N(K-L, T'-i+s) with T' = (N-1)(K-L)
         return range(lo, hi + 1), row[top - i + lo:], total
     return range(lo, hi + 1), row[i - hi:i - lo + 1][::-1], total  # C_N(K-L, i-hi..i-lo)
@@ -91,7 +89,10 @@ def microstate_uniform(n: int, k: int, i: int, budget: int = DEFAULT_BUDGET) -> 
 
 
 def projection_marginal(omega: Dist, pos: int) -> Dist:
-    """Marginal of a sequence-supported distribution at one position."""
+    """Marginal of a sequence-supported distribution at one position 0..K-1."""
+    k = min(map(len, omega.support))
+    if not 0 <= pos < k:
+        raise ValueError(f"position {pos} not in 0..{k - 1}")
     return image(omega, lambda v: v[pos])
 
 

@@ -415,16 +415,21 @@ def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> None:
 
 def _count_with_sum(n: int, k: int, i: int) -> int:
     """The number of multisets ``enumerate_multisets_with_sum`` yields,
-    counted level by level in O(N K i) additions without building any."""
+    counted in O(N w) additions without building any, w = min(i, T - i).
+
+    It is the coefficient of q^i in the Gaussian binomial [N-1+K choose K]_q,
+    the product over j = 1..N-1 of (1 - q^(K+j)) / (1 - q^j), whose
+    coefficients are palindromic about T/2 with T = (N-1)K.
+    """
     _check_sum_space(n, k, i)
-    # ways[r][w]: count vectors over the levels so far with r particles and
-    # level sum w; level 0 alone holds every particle at sum 0
-    ways = [[1] + [0] * i for _ in range(k + 1)]
-    for j in range(1, min(n - 1, i) + 1):
-        for r in range(1, k + 1):
-            row = ways[r]
-            ways[r] = row[:j] + [a + b for a, b in zip(row[j:], ways[r - 1])]
-    return ways[k][i]
+    w = min(i, (n - 1) * k - i)
+    a = [1] + [0] * w  # after step j: [K+j choose j]_q cut at w
+    for j in range(1, n):
+        for d in range(w, k + j - 1, -1):  # times 1 - q^(K+j)
+            a[d] -= a[d - k - j]
+        for d in range(j, w + 1):  # over 1 - q^j
+            a[d] += a[d - j]
+    return a[w]
 
 
 def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:

@@ -14,18 +14,17 @@ Two row steps, which share no code, build it.  The sliding window
 and the recursion oracle.  ``_row(n, k, width)`` runs the D-finite
 recurrence of one row, at O(1) big-integer steps per entry; every other
 reader calls it once per row it reads, so rows read together (the
-level-sum law's K-L and K, the Vandermonde split's K1, K2 and K1+K2,
-an urn's per-label rows) are independent runs.
+level-sum law's K-L, the Vandermonde split's K1 and K2, an urn's
+per-label rows) are independent runs.
 
 Every row is a palindrome: level reversal j -> N-1-j preserves multiset
 coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
-T = (N-1)K.  ``nomial``, ``vandermonde_check`` and
-``boltzmann._level_weights`` read a row cut at i from the shorter
-side, at w = min(i, T - i).  So ``nomial``'s closed form covers the top
-N-1 sums as well as the bottom N, and its window costs O(K*w) cells
-otherwise; the other two run the recurrence at O(w) steps per row.
-``nomial_recursive`` keeps reading the window at i, which makes it an
-independent oracle for the mirror.
+T = (N-1)K.  ``nomial`` reads one value at w = min(i, T - i): from the
+multichoose closed form below N (the top N-1 sums and the bottom N),
+else from one run of the recurrence at O(w) steps, and every other
+reader of one value calls it.  ``NomialTable`` keeps each row's left
+half.  ``nomial_recursive`` reads the window at i, an independent
+oracle for the mirror.
 """
 
 from __future__ import annotations
@@ -111,17 +110,14 @@ def nomial_closed_form(n: int, k: int, i: int) -> int:
 def nomial(n: int, k: int, i: int) -> int:
     """C_N(K, i) via the cheapest applicable route.
 
-    Reads the row from its shorter side: C_N(K, i) = C_N(K, T - i) with
-    T = (N-1)K, so i is first replaced by min(i, T - i).  Then it
-    dispatches to the multichoose closed form when that sum is below N
-    (the bottom N and the top N-1 sums of the row), otherwise to the row
-    recursion at O(K*min(i, T - i)) cost.  Never 0 for valid parameters.
+    Reads the row from its shorter side, C_N(K, i) = C_N(K, T - i) with
+    T = (N-1)K, at w = min(i, T - i): multichoose(K, w) below N (the
+    bottom N and the top N-1 sums), else entry w of one run of ``_row``'s
+    recurrence at O(w) steps.  Never 0 for valid parameters.
     """
     _check_sum_space(n, k, i)
-    i = min(i, (n - 1) * k - i)
-    if k >= 1 and i < n:
-        return multichoose(k, i)
-    return nomial_recursive(n, k, i)
+    w = min(i, (n - 1) * k - i)
+    return multichoose(k, w) if k >= 1 and w < n else _row(n, k, w)[w]
 
 
 def nomial_prefix_sum(n: int, k: int, bound: int) -> int:
@@ -197,12 +193,12 @@ def polynomial_expand(n: int, k: int) -> list[int]:
 def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?
 
-    The rows K1, K2 and K1+K2 are cut at min(i, T - i) with
-    T = (N-1)(K1+K2), each from its own run of ``_row``'s recurrence
-    at O(min(i, T - i)) steps, so the check holds one run against the
-    convolution of two others.  Reflecting every level maps the split at i
-    term by term onto the split at T - i (i1 -> (N-1)K1 - i1), so both
-    cuts check the same sum.
+    The rows K1 and K2 are cut at min(i, T - i) with T = (N-1)(K1+K2),
+    each from its own run of ``_row``'s recurrence at O(min(i, T - i))
+    steps, and the left side is ``nomial``'s value, so the convolution
+    is held against the closed form below N and a third run otherwise.
+    Reflecting every level maps the split at i term by term onto the
+    split at T - i (i1 -> (N-1)K1 - i1), so both cuts check the same sum.
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("lengths must be naturals")
@@ -212,21 +208,22 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     lo = max(0, i - (n - 1) * k2)
     hi = min((n - 1) * k1, i)
     split = sum(row1[i1] * row2[i - i1] for i1 in range(lo, hi + 1))
-    return _row(n, k1 + k2, i)[i] == split
+    return nomial(n, k1 + k2, i) == split
 
 
 class NomialTable:
     """Cached rows C_N(K, 0..(N-1)K) for K = 0..K_max.
 
-    Row K has (N-1)*K + 1 entries, is palindromic, and sums to N^K;
-    rows are built once by the shared row step and read-only afterwards.
+    Row K has (N-1)*K + 1 entries, is palindromic, and sums to N^K; rows
+    are built once by the window and keep only C_N(K, 0..(N-1)K // 2).
     """
 
     def __init__(self, n: int, k_max: int):
         _check_sum_space(n, k_max, 0)
         self._n = n
         self._k_max = k_max
-        self._rows = list(itertools.islice(_rows(n, (n - 1) * k_max), k_max + 1))
+        self._rows = [row[:(n - 1) * k // 2 + 1]
+                      for k, row in zip(range(k_max + 1), _rows(n, (n - 1) * k_max))]
 
     @property
     def n(self) -> int:
@@ -238,15 +235,16 @@ class NomialTable:
 
     @property
     def rows(self) -> list[list[int]]:
-        return [list(r) for r in self._rows]
+        return [self.row(k) for k in range(self._k_max + 1)]
 
     def row(self, k: int) -> list[int]:
         if not 0 <= k <= self._k_max:
             raise ValueError(f"row {k} not in table (K_max={self._k_max})")
-        return list(self._rows[k])
+        half = self._rows[k]
+        return half + half[::-1][2 * len(half) - (self._n - 1) * k - 1:]
 
     def value(self, k: int, i: int) -> int:
-        row = self._rows[k] if 0 <= k <= self._k_max else None
-        if row is None or not 0 <= i < len(row):
+        top = (self._n - 1) * k
+        if not (0 <= k <= self._k_max and 0 <= i <= top):
             raise ValueError(f"C({k}, {i}) not in table")
-        return row[i]
+        return self._rows[k][min(i, top - i)]

@@ -90,9 +90,11 @@ class TestDiscreteExponential:
                 sys.set_int_max_str_digits(before)
 
     def test_means_near_zero_are_refused(self):
-        # a subnormal mean: e^(-E/mu) overflows a float in the message
-        with pytest.raises(ValueError, match="would hold weights"):
-            discrete_exponential(2000, F(1, 10 ** 320))
+        # E/mu overflows a float, so the message names the exponent as E over the mean
+        for e, mu in [(2000, F(1, 10 ** 320)), (3, 5e-324), (3, F(1, 10 ** 308))]:
+            with pytest.raises(ValueError, match="would hold weights") as refused:
+                discrete_exponential(e, mu)
+            assert "inf" not in str(refused.value), (e, mu)
         with pytest.raises(ValueError, match="smallest positive float"):
             discrete_exponential(2000, F(1, 10 ** 400))
 

@@ -167,6 +167,11 @@ class TestMicrostates:
         for pos in range(4):
             assert projection_marginal(unif, pos) == expected
 
+    @pytest.mark.parametrize("pos", [5, 2, -1])
+    def test_projection_position_out_of_range(self, pos):
+        with pytest.raises(ValueError, match=rf"position {pos} not in 0\.\.1"):
+            projection_marginal(microstate_uniform(3, 2, 2), pos)
+
     def test_zero_energy_single_sequence(self):
         assert microstate_uniform(3, 4, 0) == point((0, 0, 0, 0))
 

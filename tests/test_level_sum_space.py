@@ -6,11 +6,13 @@ one message form.  Counting, enumeration and the shift chain allow
 K = 0; the Boltzmann and urn families need K >= 1.  ``flrn_dagger`` and
 ``shift_on_numbers`` read their priors from ``markov._priors``:
 ``_scan_row`` below is the per-row scan over every state that the shared
-prior replaced, kept here as the reference.
+prior replaced, kept here as the reference.  ``_count_with_sum`` sizes
+the space without building it and is held to the enumeration's length.
 """
 
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -39,6 +41,7 @@ from discrete_boltzmann import (
     transition_matrix,
 )
 from discrete_boltzmann import markov
+from discrete_boltzmann.multisets import _count_with_sum
 
 MESSAGE = re.compile(r"^sum -?\d+ out of range \[0, -?\d+\] for N=-?\d+, K=-?\d+")
 
@@ -189,3 +192,22 @@ class TestPriorOwner:
             channel(j)
         states = len(list(enumerate_multisets_with_sum(n, k, i)))
         assert calls == {"enumerate": 1, "coefficient": states}
+
+
+class TestSpaceSize:
+    """``_count_with_sum`` reads the Gaussian binomial from the shorter side."""
+
+    def test_count_equals_the_enumeration(self):
+        for n in range(1, 9):
+            for k in range(9):
+                for i in range((n - 1) * k + 1):
+                    assert _count_with_sum(n, k, i) == \
+                        sum(1 for _ in enumerate_multisets_with_sum(n, k, i)), (n, k, i)
+
+    def test_no_factor_k(self):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            _count_with_sum(30, 200, 2000)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05, best

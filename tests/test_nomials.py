@@ -207,6 +207,13 @@ class TestTable:
                 for i in range((n - 1) * k + 1):
                     assert nomial(n, k, i) == nomial(n, k, (n - 1) * k - i)
 
+    def test_rows_and_values_read_the_kept_halves(self):
+        for n in range(1, 6):
+            table = NomialTable(n, 6)
+            assert table.rows == [polynomial_expand(n, k) for k in range(7)]
+            for k, row in enumerate(table.rows):
+                assert [table.value(k, i) for i in range(len(row))] == row
+
     def test_value_bounds(self):
         table = NomialTable(3, 2)
         assert table.value(2, 2) == 3

@@ -34,7 +34,7 @@ from discrete_boltzmann import (
     polynomial_expand,
     vandermonde_check,
 )
-from discrete_boltzmann import boltzmann, multivariate, nomials
+from discrete_boltzmann import nomials
 from discrete_boltzmann.nomials import _row, _rows
 from test_count_core import numbers_cases
 
@@ -246,6 +246,7 @@ class TestOnePass:
     @pytest.mark.parametrize("i", [1450, 2000])
     def test_numbers_family_at_or_above_n(self, passes, i):
         boltzmann_on_numbers(30, 100, i)  # T = 2900: at T/2 and on the mirrored side
+        assert nomial(30, 100, i) == oracle(30, 100, i)  # its normalizer
         assert passes == []
 
     def test_vandermonde_split(self, passes):
@@ -256,9 +257,7 @@ class TestOnePass:
         polynomial_expand(7, 30)
         assert passes == []
 
-    def test_urn_rows(self, passes, monkeypatch):
-        # their normalizer ``nomial`` may read the window; the oracle stands in for it here
-        monkeypatch.setattr(multivariate, "nomial", oracle)
+    def test_urn_rows(self, passes):
         psi = Multiset(GroundSet(["a", "b", "c"]), {"a": 6, "b": 6, "c": 6})
         nomial_distribution(20, psi, 5)
         hypergeometric(9, psi)
@@ -273,7 +272,7 @@ class TestOnePass:
             normalizers.append((m, j))
             return math.comb(m + j - 1, j)
 
-        monkeypatch.setattr(boltzmann, "multichoose", counted)
+        monkeypatch.setattr(nomials, "multichoose", counted)
         boltzmann_on_numbers(2001, 1000, 2000)
         assert passes == [] and normalizers == [(1000, 2000)]
 
