@@ -64,7 +64,15 @@ __all__ = [
 
 
 def _geometric(e: int, p: int, q: int) -> Dist:
-    """Normalize (p/q)^j over 0..E from the integers p^j * q^(E-j)."""
+    """Normalize (p/q)^j over 0..E from the integers p^j * q^(E-j).
+
+    E + 1 weights of up to E * log2(max(p, q)) bits each are refused,
+    before any is built, when together they pass ``MAX_LIFT_BITS``.
+    """
+    bits = e * (e + 1) * math.log2(max(p, q))
+    if bits > MAX_LIFT_BITS:
+        raise ValueError(f"geometric weights on 0..{e} would hold about {bits:.3g} bits "
+                         f"exactly, over {MAX_LIFT_BITS} bits")
     weights = [q ** e]
     for _ in range(e):
         weights.append(weights[-1] // q * p)
@@ -74,7 +82,9 @@ def _geometric(e: int, p: int, q: int) -> Dist:
 def ratio_approx(e: int, mu: Rational) -> Dist:
     """Normalization of (mu/(mu+1))^j over 0..E, computed exactly.
 
-    Successive weights have the exact constant ratio mu/(mu+1).
+    Successive weights have the exact constant ratio mu/(mu+1).  Weights
+    that would hold more than ``MAX_LIFT_BITS`` bits in all raise
+    ``ValueError`` before any is built.
     """
     mu = Fraction(mu)
     if e < 1 or mu <= 0:
@@ -85,7 +95,8 @@ def ratio_approx(e: int, mu: Rational) -> Dist:
 # ln 2 to 40 digits: k * _LN2 - y keeps a double's precision for every k
 # that MAX_LIFT_BITS admits
 _LN2 = Fraction("0.6931471805599453094172321214581765680755")
-# the lifted weights are held exactly; their common denominator grows as E/mu
+# the bits of exact weights a law may hold: the lifted exponential's common
+# denominator grows as E/mu, and each geometric weight as E log2(q)
 MAX_LIFT_BITS = 1 << 27
 
 
@@ -227,7 +238,6 @@ def _max_entropy(e: int, mu: Rational) -> tuple[Dist, float, Fraction]:
             # the exact difference to the target, rounded once as float(mean(dist) - mu) is
             if abs((num * low.denominator - low.numerator * den) / (den * low.denominator)) < 1e-9:
                 break
-    _check_weight_bits(e, low, math.log2(q))
     dist, s = (_geometric(e, q, p), 1 / t) if 2 * mu > e else (_geometric(e, p, q), t)
     m = mean(dist)
     if abs(float(m - mu)) >= 1e-9:

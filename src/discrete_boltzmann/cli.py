@@ -35,11 +35,12 @@ def export_plot_data(omega: Dist, path: str) -> None:
     Probabilities are decimals at 12 significant digits; the exact
     rational columns are authoritative.
     """
+    from .distributions import _decimal
     from .ketform import dist_to_csv_rows
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,probability,numerator,denominator\n")
-        for row, p in zip(dist_to_csv_rows(omega), omega.weights()):
-            fh.write(f"{row},{p.numerator},{p.denominator}\n")
+        for row, (_, n, d) in zip(dist_to_csv_rows(omega), omega._reduced()):
+            fh.write(f"{row},{_decimal(n)},{_decimal(d)}\n")
 
 
 def _default_format() -> str:
@@ -89,9 +90,8 @@ def _cmd_nomial_value(args) -> int:
 
 def _cmd_nomial_table(args) -> int:
     from .nomials import NomialTable
-    table = NomialTable(args.levels, args.max_length)
-    for k in range(args.max_length + 1):
-        print(",".join(str(v) for v in table.row(k)))
+    for row in NomialTable(args.levels, args.max_length).rows:
+        print(",".join(map(str, row)))
     return 0
 
 

@@ -144,11 +144,39 @@ class Dist:
     def map(self, f: Callable[[Any], Any]) -> "Dist":
         return image(self, f)
 
+    def _reduced(self) -> Iterator[tuple[Any, int, int]]:
+        """Each element with its weight in lowest terms, as (element,
+        numerator, denominator), from one gcd per element."""
+        den = self._den
+        for x, m in self._num.items():
+            g = math.gcd(m, den)
+            yield x, m // g, den // g
+
     def __str__(self) -> str:
-        return " + ".join(f"{p}|{element_text(x)}>" for x, p in self.items())
+        terms = []
+        for x, n, d in self._reduced():
+            # as ``str(Fraction)``: a whole weight prints its numerator alone
+            weight = _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+            terms.append(f"{weight}|{element_text(x)}>")
+        return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"<Dist {self}>"
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of a natural number of any size.
+
+    ``str`` refuses past the interpreter's digit limit (4,300 digits by
+    default, set process-wide), so a longer number is split in halves by
+    a power of ten; the limit itself is never changed.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(n, 10 ** k)
+        return _decimal(high) + _decimal(low).zfill(k)
 
 
 def element_text(x: Any) -> str:

@@ -10,21 +10,21 @@ verification sweep hold them against each other.
 
 Row K of the triangle holds the coefficients of (1 + x + ... + x^(N-1))^K.
 Two row steps, which share no code, build it.  The sliding window
-``_rows`` makes row K from row K-1 at O(1) per cell, for ``NomialTable``
-and the recursion oracle.  ``_row(n, k, width)`` runs the D-finite
-recurrence of one row, at O(1) big-integer steps per entry; every other
-reader calls it once per row it reads, so rows read together (the
-level-sum law's K-L, the Vandermonde split's K1 and K2, an urn's
-per-label rows) are independent runs.
+``_rows`` makes row K from row K-1 at O(1) per cell, for the whole
+triangle (``NomialTable.rows``) and the recursion oracle.
+``_row(n, k, width)`` runs the D-finite recurrence of one row, at O(1)
+big-integer steps per entry and with no earlier row; every other reader,
+``NomialTable.row`` included, calls it once per row it reads, so rows
+read together (the level-sum law's K-L, the Vandermonde split's K1 and
+K2, an urn's per-label rows) are independent runs.
 
 Every row is a palindrome: level reversal j -> N-1-j preserves multiset
 coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
 T = (N-1)K.  ``nomial`` reads one value at w = min(i, T - i): from the
 multichoose closed form below N (the top N-1 sums and the bottom N),
 else from one run of the recurrence at O(w) steps, and every other
-reader of one value calls it.  ``NomialTable`` keeps each row's left
-half.  ``nomial_recursive`` reads the window at i, an independent
-oracle for the mirror.
+reader of one value calls it.  ``nomial_recursive`` reads the window
+at i, an independent oracle for the mirror.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
     Row K is a sliding window of N entries over row K-1: each entry adds
     the one entering the window and subtracts the one leaving it,
     C_N(K, i) = C_N(K, i-1) + C_N(K-1, i) - C_N(K-1, i-N), so each cell
-    costs O(1).  Only ``NomialTable``, which needs every row, and the
-    oracle ``nomial_recursive`` read it.
+    costs O(1).  Only ``NomialTable.rows``, which needs every row, and
+    the oracle ``nomial_recursive`` read it.
     """
     row = [1]
     for k in itertools.count(1):
@@ -212,18 +212,18 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
 
 
 class NomialTable:
-    """Cached rows C_N(K, 0..(N-1)K) for K = 0..K_max.
+    """Checked access to rows C_N(K, 0..(N-1)K) for K = 0..K_max.
 
-    Row K has (N-1)*K + 1 entries, is palindromic, and sums to N^K; rows
-    are built once by the window and keep only C_N(K, 0..(N-1)K // 2).
+    Row K has (N-1)*K + 1 entries, is palindromic, and sums to N^K.  The
+    table stores only N and K_max: ``row`` runs ``_row``'s recurrence
+    once, ``value`` calls ``nomial``, and ``rows`` makes one pass of the
+    window, which builds each row from the one before.
     """
 
     def __init__(self, n: int, k_max: int):
         _check_sum_space(n, k_max, 0)
         self._n = n
         self._k_max = k_max
-        self._rows = [row[:(n - 1) * k // 2 + 1]
-                      for k, row in zip(range(k_max + 1), _rows(n, (n - 1) * k_max))]
 
     @property
     def n(self) -> int:
@@ -235,16 +235,14 @@ class NomialTable:
 
     @property
     def rows(self) -> list[list[int]]:
-        return [self.row(k) for k in range(self._k_max + 1)]
+        return list(itertools.islice(_rows(self._n, (self._n - 1) * self._k_max), self._k_max + 1))
 
     def row(self, k: int) -> list[int]:
         if not 0 <= k <= self._k_max:
             raise ValueError(f"row {k} not in table (K_max={self._k_max})")
-        half = self._rows[k]
-        return half + half[::-1][2 * len(half) - (self._n - 1) * k - 1:]
+        return _row(self._n, k, (self._n - 1) * k)
 
     def value(self, k: int, i: int) -> int:
-        top = (self._n - 1) * k
-        if not (0 <= k <= self._k_max and 0 <= i <= top):
+        if not (0 <= k <= self._k_max and 0 <= i <= (self._n - 1) * k):
             raise ValueError(f"C({k}, {i}) not in table")
-        return self._rows[k][min(i, top - i)]
+        return nomial(self._n, k, i)

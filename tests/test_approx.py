@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,14 @@ from discrete_boltzmann import (
     ratio_approx,
     uniform,
 )
-from discrete_boltzmann.approx import _convergents, _geometric, _geometric_mean, _solve_base
+from discrete_boltzmann.approx import (
+    MAX_LIFT_BITS,
+    _convergents,
+    _geometric,
+    _geometric_mean,
+    _solve_base,
+)
+from discrete_boltzmann.cli import run
 
 F = Fraction
 
@@ -54,6 +62,19 @@ class TestRatioApprox:
             ratio_approx(0, 5)
         with pytest.raises(ValueError):
             ratio_approx(10, 0)
+
+    @pytest.mark.parametrize("build", [lambda: ratio_approx(10 ** 4, 5000),
+                                       lambda: compare(10 ** 4, 2)], ids=["ratio", "compare"])
+    def test_weights_past_the_bit_budget_are_refused_before_they_are_built(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bits") as refusal:
+            build()
+        assert time.perf_counter() - start < 0.1
+        assert "10000" in str(refusal.value) and str(MAX_LIFT_BITS) in str(refusal.value)
+
+    def test_cli_refuses_the_comparison_past_the_bit_budget(self, capsys):
+        assert run(["approx", "compare", "--total-energy", "40000", "--particles", "2"]) == 2
+        assert "bits" in capsys.readouterr().err
 
 
 class TestDiscreteExponential:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from discrete_boltzmann import (
     parse_multiset,
     uniform,
 )
+from discrete_boltzmann.cli import export_plot_data
 from discrete_boltzmann.ketform import (
     dist_to_csv_rows,
     dist_to_json,
@@ -100,3 +102,27 @@ class TestCsvForm:
     def test_tuple_cells_are_quoted(self):
         rows = dist_to_csv_rows(boltzmann_multi(3, parse_multiset("2|a> + 3|b>"), 4))
         assert all(row.startswith('"') for row in rows)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+class TestPastTheDigitLimit:
+    """Weights of more than 4,300 digits print outside the CLI as they do
+    inside it, where the limit is lifted, and the limit stays as it was."""
+
+    def test_text_forms(self, tmp_path):
+        omega = Dist({0: 1, 1: 10 ** 5000 - 1}, 10 ** 5000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            kets = " + ".join(f"{p}|{x}>" for x, p in omega.items())
+            rows = [f"{row},{p.numerator},{p.denominator}"
+                    for row, p in zip(dist_to_csv_rows(omega), omega.weights())]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        path = tmp_path / "plot.csv"
+        assert str(omega) == format_dist(omega) == kets
+        assert repr(omega) == f"<Dist {kets}>"
+        export_plot_data(omega, str(path))
+        assert path.read_text().splitlines() == ["index,probability,numerator,denominator", *rows]
+        assert sys.get_int_max_str_digits() == limit

@@ -207,7 +207,7 @@ class TestTable:
                 for i in range((n - 1) * k + 1):
                     assert nomial(n, k, i) == nomial(n, k, (n - 1) * k - i)
 
-    def test_rows_and_values_read_the_kept_halves(self):
+    def test_rows_and_values_equal_the_expansion(self):
         for n in range(1, 6):
             table = NomialTable(n, 6)
             assert table.rows == [polynomial_expand(n, k) for k in range(7)]

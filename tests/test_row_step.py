@@ -1,10 +1,11 @@
 """The two N-nomial row steps, held against references that share none of them.
 
-``NomialTable`` and the recursion read the sliding-window generator
-``_rows``; every other multi-entry reader of the N-nomial triangle (the
-polynomial expansion, the numbers family, the Vandermonde split, the
-urn draw distributions and the per-kind level family) reads rows of
-``_row``, one run of the D-finite row recurrence per row.  These
+Only ``NomialTable.rows`` and the recursion read the sliding-window
+generator ``_rows``; every other multi-entry reader of the N-nomial
+triangle (``NomialTable.row``, the polynomial expansion, the numbers
+family, the Vandermonde split, the urn draw distributions and the
+per-kind level family) reads rows of ``_row``, one run of the D-finite
+row recurrence per row.  These
 tests check both at the benchmark's counting sizes against an
 inclusion-exclusion oracle, hold the recurrence against the window, and
 check the row readers against the per-entry code they replace.
@@ -37,6 +38,7 @@ from discrete_boltzmann import (
 from discrete_boltzmann import nomials
 from discrete_boltzmann.nomials import _row, _rows
 from test_count_core import numbers_cases
+from test_nomials import QUADRINOMIAL_ROWS
 
 LEVELS = (1, 2, 3, 4, 5, 7, 10, 16, 23, 30)
 LENGTHS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100)
@@ -230,7 +232,7 @@ class TestReadersUnchanged:
 
 
 class TestOnePass:
-    """Only ``NomialTable`` and the recursion make a pass of the window."""
+    """Only ``NomialTable.rows`` and the recursion make a pass of the window."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -280,6 +282,21 @@ class TestOnePass:
         assert nomial_recursive(4, 5, 2) == oracle(4, 5, 2)
         assert passes == [(4, 2)]
 
-    def test_table_reads_the_window(self, passes):
-        NomialTable(5, 7)
+    def test_only_the_table_rows_read_the_window(self, passes, monkeypatch):
+        recurrences = []
+
+        def counted(n, k, width):
+            recurrences.append((n, k, width))
+            return _row(n, k, width)
+
+        monkeypatch.setattr(nomials, "_row", counted)
+        table = NomialTable(5, 7)
+        assert passes == [] and recurrences == []
+        row = table.row(7)
+        assert passes == [] and recurrences == [(5, 7, 28)]
+        assert row == polynomial_expand(5, 7)
+        assert table.rows == [polynomial_expand(5, k) for k in range(8)]
         assert passes == [(5, 28)]
+        assert NomialTable(4, 5).rows == QUADRINOMIAL_ROWS
+        assert [NomialTable(4, 5).row(k) for k in range(6)] == QUADRINOMIAL_ROWS
+        assert passes == [(5, 28), (4, 15)]
