@@ -63,16 +63,30 @@ __all__ = [
 ]
 
 
+def _exact(mu: Rational) -> Fraction:
+    """The mean ``mu`` as a Fraction; an infinite or NaN float is refused."""
+    try:
+        return Fraction(mu)
+    except OverflowError as exc:
+        raise ValueError(exc) from None
+
+
+def _check_weight_bits(e: int, log2_q: float, what: str) -> None:
+    """Refuse E + 1 weights of up to E * log2(q) bits each past ``MAX_LIFT_BITS``;
+    ``what`` names the law in the message."""
+    bits = e * (e + 1) * log2_q
+    if bits > MAX_LIFT_BITS:
+        raise ValueError(f"{what} would hold about {bits:.3g} bits of exact weights, "
+                         f"over {MAX_LIFT_BITS} bits")
+
+
 def _geometric(e: int, p: int, q: int) -> Dist:
     """Normalize (p/q)^j over 0..E from the integers p^j * q^(E-j).
 
     E + 1 weights of up to E * log2(max(p, q)) bits each are refused,
     before any is built, when together they pass ``MAX_LIFT_BITS``.
     """
-    bits = e * (e + 1) * math.log2(max(p, q))
-    if bits > MAX_LIFT_BITS:
-        raise ValueError(f"geometric weights on 0..{e} would hold about {bits:.3g} bits "
-                         f"exactly, over {MAX_LIFT_BITS} bits")
+    _check_weight_bits(e, math.log2(max(p, q)), f"geometric weights on 0..{e}")
     weights = [q ** e]
     for _ in range(e):
         weights.append(weights[-1] // q * p)
@@ -86,7 +100,7 @@ def ratio_approx(e: int, mu: Rational) -> Dist:
     that would hold more than ``MAX_LIFT_BITS`` bits in all raise
     ``ValueError`` before any is built.
     """
-    mu = Fraction(mu)
+    mu = _exact(mu)
     if e < 1 or mu <= 0:
         raise ValueError("need E >= 1 and mu > 0")
     return _geometric(e, mu.numerator, mu.numerator + mu.denominator)
@@ -119,7 +133,7 @@ def discrete_exponential(e: int, mu: Rational) -> Dist:
     weight below the normal float range is lifted from the split form
     e^(-y) = e^(k ln 2 - y) * 2^(-k) instead, so the support stays 0..E.
     """
-    mu = Fraction(mu)
+    mu = _exact(mu)
     if e < 1 or mu <= 0:
         raise ValueError("need E >= 1 and mu > 0")
     rate = _rate(mu)
@@ -199,22 +213,10 @@ def _geometric_mean(e: int, a: int, b: int) -> tuple[int, int]:
     return a * (bottom - top) - (e + 1) * top * (b - a), (b - a) * (bottom - top)
 
 
-def _check_weight_bits(e: int, low: Fraction, log2_q: float) -> None:
-    """Refuse E + 1 weights of up to E * log2(q) bits each past ``MAX_LIFT_BITS``.
-
-    The message names the mean by its float distance ``low`` to the nearer
-    end: the exact mean may have more digits than ``str`` will convert.
-    """
-    bits = e * (e + 1) * log2_q
-    if bits > MAX_LIFT_BITS:
-        raise ValueError(f"max_entropy_dist at E = {e} with a mean {float(low):.3g} from an end "
-                         f"would hold about {bits:.3g} bits of exact weights, over {MAX_LIFT_BITS} bits")
-
-
 def _max_entropy(e: int, mu: Rational) -> tuple[Dist, float, Fraction]:
     """``max_entropy_dist(e, mu)`` together with the exact mean of its law,
     the one the 1e-9 check has read."""
-    mu = Fraction(mu)
+    mu = _exact(mu)
     if e < 1 or not 0 <= mu <= e:
         raise ValueError(f"mean must lie in [0, {e}]")
     # the boundary laws hold the mean mu exactly
@@ -230,8 +232,10 @@ def _max_entropy(e: int, mu: Rational) -> tuple[Dist, float, Fraction]:
     if float(low) == 0:
         raise ValueError(f"mean lies closer to an end of [0, {e}] than the smallest positive float")
     t = _solve_base(e, float(low))
-    # every convergent p/q of t has q of about 1/t or more
-    _check_weight_bits(e, low, -math.log2(t))
+    # every convergent p/q of t has q of about 1/t or more; the message names
+    # the mean by floats, as the exact one may have more digits than ``str`` converts
+    _check_weight_bits(e, -math.log2(t),
+                       f"max_entropy_dist at E = {e} with a mean {float(low):.3g} from an end")
     for p, q in _convergents(*t.as_integer_ratio()):
         if p:
             num, den = _geometric_mean(e, p, q)
@@ -264,7 +268,7 @@ def max_entropy_dist(e: int, mu: Rational) -> tuple[Dist, float]:
 
 def continuous_exponential_pdf(mu: Rational) -> Callable[[float], float]:
     """Density of the exponential law with rate 1/mu on [0, inf)."""
-    mu = Fraction(mu)
+    mu = _exact(mu)
     if mu <= 0:
         raise ValueError("mu must be positive")
     rate = _rate(mu)

@@ -16,15 +16,16 @@ import os
 import sys
 from collections.abc import Sequence
 
+from .multisets import _decimal
 from .nomials import DEFAULT_BUDGET
 
 # Every `dboltz` call is its own process, so a module-level import here is
-# paid by every command.  Only `argparse` and the counting layer's default
-# budget load with this module; each handler imports the modules it
-# computes with, and the package resolves its names lazily, so `nomial
-# value` loads no `fractions` and no distribution module, and `boltzmann`
-# loads no chain, solver, urn or self-check code.  `run` gives arguments
-# only to the command group that argv names (see `_build_parser`).
+# paid by every command.  Only `argparse` and the counting layer (its default
+# budget and `_decimal`, the one writer of integers) load with this module;
+# each handler imports the modules it computes with, and the package resolves
+# its names lazily, so `nomial value` loads no `fractions` and no distribution
+# module, and `boltzmann` loads no chain, solver, urn or self-check code.
+# `run` gives arguments only to the group argv names (see `_build_parser`).
 
 __all__ = ["run", "main", "export_plot_data"]
 
@@ -35,7 +36,6 @@ def export_plot_data(omega: Dist, path: str) -> None:
     Probabilities are decimals at 12 significant digits; the exact
     rational columns are authoritative.
     """
-    from .distributions import _decimal
     from .ketform import dist_to_csv_rows
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,probability,numerator,denominator\n")
@@ -43,24 +43,14 @@ def export_plot_data(omega: Dist, path: str) -> None:
             fh.write(f"{row},{_decimal(n)},{_decimal(d)}\n")
 
 
-def _default_format() -> str:
-    return os.environ.get("DBOLTZ_FORMAT", "kets")
-
-
 def _emit_dist(omega: Dist, args: argparse.Namespace) -> None:
-    from .ketform import dist_to_csv_rows, dist_to_json
-    fmt = getattr(args, "format", None) or _default_format()
+    from .ketform import _json_text, dist_to_csv_rows, dist_to_json
+    fmt = getattr(args, "format", None) or os.environ.get("DBOLTZ_FORMAT", "kets")
     if fmt == "kets":
         print(omega)
     elif fmt == "json":
-        import json
-        envelope = {
-            "command": " ".join(args.command_echo),
-            "format": "json",
-            "payload": dist_to_json(omega),
-            "floats_are_approximate": True,
-        }
-        print(json.dumps(envelope))
+        print(_json_text({"command": " ".join(args.command_echo), "format": "json",
+                          "payload": dist_to_json(omega), "floats_are_approximate": True}))
     elif fmt == "csv":
         print("element,probability")
         for row in dist_to_csv_rows(omega):
@@ -84,14 +74,14 @@ def _cmd_nomial_value(args) -> int:
         "recursive": nomial_recursive,
         "sequences": lambda n, k, i: nomial_enum_sequences(n, k, i, args.budget),
     }
-    print(routes[args.route](args.levels, args.length, args.sum))
+    print(_decimal(routes[args.route](args.levels, args.length, args.sum)))
     return 0
 
 
 def _cmd_nomial_table(args) -> int:
     from .nomials import NomialTable
-    for row in NomialTable(args.levels, args.max_length).rows:
-        print(",".join(map(str, row)))
+    for row in NomialTable(args.levels, args.max_length)._each_row():
+        print(",".join(map(_decimal, row)))
     return 0
 
 
@@ -175,8 +165,7 @@ def _cmd_approx_compare(args) -> int:
     from .approx import compare, continuous_exponential_pdf
     report = compare(args.total_energy, args.particles)
     if args.format == "json":
-        import json
-        from .ketform import dist_to_json
+        from .ketform import _json_text, dist_to_json
         payload = {
             "command": " ".join(args.command_echo),
             "energy": report.energy,
@@ -199,7 +188,7 @@ def _cmd_approx_compare(args) -> int:
                 for c in report.candidates
             ],
         }
-        print(json.dumps(payload))
+        print(_json_text(payload))
         return 0
     pdf = continuous_exponential_pdf(report.mu)
     names = [c.name for c in report.candidates]
@@ -410,11 +399,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.command_echo = ["dboltz", *argv]
-    # print exact integers in full (the digit limit reads 0 before Python 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        if limit:
-            sys.set_int_max_str_digits(0)
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -422,9 +407,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -40,7 +40,7 @@ import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .multisets import GroundSet, Multiset, coefficient, enumerate_multisets
+from .multisets import GroundSet, Multiset, _decimal, coefficient, enumerate_multisets
 
 Weights = Union[Mapping[Any, Union[int, Fraction]], Iterable[tuple[Any, Union[int, Fraction]]]]
 
@@ -69,7 +69,10 @@ class Dist:
 
     def __init__(self, weights: Weights, total: int = 1):
         items = weights.items() if isinstance(weights, Mapping) else weights
-        pairs = [(x, p if type(p) is int else Fraction(p)) for x, p in items]
+        try:
+            pairs = [(x, p if type(p) is int else Fraction(p)) for x, p in items]
+        except OverflowError as exc:  # an infinite float weight
+            raise ValueError(exc) from None
         scale = math.lcm(*{p.denominator for _, p in pairs})
         num: dict[Any, int] = {}
         for x, p in pairs:
@@ -164,27 +167,13 @@ class Dist:
         return f"<Dist {self}>"
 
 
-def _decimal(n: int) -> str:
-    """The decimal text of a natural number of any size.
-
-    ``str`` refuses past the interpreter's digit limit (4,300 digits by
-    default, set process-wide), so a longer number is split in halves by
-    a power of ten; the limit itself is never changed.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
-        high, low = divmod(n, 10 ** k)
-        return _decimal(high) + _decimal(low).zfill(k)
-
-
 def element_text(x: Any) -> str:
     """The text of one support element: tuples list their components
-    separated by commas; anything else prints as ``str``."""
+    separated by commas, ints print through ``_decimal`` and anything
+    else prints as ``str``."""
     if isinstance(x, tuple):
         return ", ".join(element_text(c) for c in x)
-    return str(x)
+    return _decimal(x) if type(x) is int else str(x)
 
 
 class Channel:

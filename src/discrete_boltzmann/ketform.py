@@ -5,22 +5,22 @@ then the element between ``|`` and ``>``.  Multiset elements nest their
 own kets (``1/5|3|0> + 1|3>>``); tuple elements list their components
 separated by commas inside the outer ket.  Parsing splits terms at the
 `` + `` occurrences outside any ket, tracking ``|``/``>`` nesting, and
-recovers the exact rational weights, so any exported distribution
-round-trips bit-exactly.
+recovers the exact rational weights.  Text of any length is written, but
+reading follows the interpreter's int-to-str digit limit, so an exported
+distribution round-trips bit-exactly while its integers stay within it.
 
 JSON form: a list of ``{element, numerator, denominator, probability}``
 records.  The rational fields are authoritative; ``probability`` is the
-approximate float rendering.  CSV form: ``element,probability`` with
-decimals at 12 significant digits.
+float n / d, as ``float(Fraction(n, d))`` rounds it.  CSV form:
+``element,probability`` with decimals at 12 significant digits.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any
 
 from .distributions import Dist, element_text
-from .multisets import GroundSet, Multiset, parse_multiset
+from .multisets import GroundSet, Multiset, _decimal, parse_multiset
 
 __all__ = [
     "format_dist",
@@ -73,13 +73,17 @@ def parse_dist(text: str, ground: GroundSet | None = None) -> Dist:
     infers its own ground, which is only safe when every element names
     every label.  Weights are parsed as exact rationals.
     """
+    from fractions import Fraction
     pairs = []
     for term in _split_top_level(text.strip(), " + "):
         term = term.strip()
         bar = term.index("|")
         if not term.endswith(">"):
             raise ValueError(f"malformed distribution term {term!r}")
-        weight = Fraction(term[:bar].strip())
+        try:
+            weight = Fraction(term[:bar].strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in distribution term {term!r}") from None
         element = _parse_element(term[bar + 1:-1], ground)
         pairs.append((element, weight))
     return Dist(pairs)
@@ -95,19 +99,31 @@ def _json_element(x: Any) -> Any:
 
 def dist_to_json(omega: Dist) -> list[dict[str, Any]]:
     return [
-        {
-            "element": _json_element(x),
-            "numerator": p.numerator,
-            "denominator": p.denominator,
-            "probability": float(p),
-        }
-        for x, p in omega.items()
+        {"element": _json_element(x), "numerator": n, "denominator": d, "probability": n / d}
+        for x, n, d in omega._reduced()
     ]
 
 
-def dist_to_json_text(omega: Dist, **kwargs: Any) -> str:
-    import json
-    return json.dumps(dist_to_json(omega), **kwargs)
+def _json_text(x: Any) -> str:
+    """``json.dumps(x)`` for dicts with string keys, lists, strings, ints, floats,
+    bools and None, with every int written by ``_decimal``, whatever its length."""
+    from json import dumps
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(x: Any) -> str:
+        if isinstance(x, dict):
+            return "{" + ", ".join(f"{quote(k)}: {text(v)}" for k, v in x.items()) + "}"
+        if isinstance(x, list):
+            return "[" + ", ".join(map(text, x)) + "]"
+        if isinstance(x, int) and not isinstance(x, bool):
+            return _decimal(x)
+        return dumps(x)
+
+    return text(x)
+
+
+def dist_to_json_text(omega: Dist) -> str:
+    return _json_text(dist_to_json(omega))
 
 
 def dist_to_csv_rows(omega: Dist) -> list[str]:

@@ -452,10 +452,27 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
 _TERM_RE = re.compile(r"^(\d+)\s*\|\s*([A-Za-z_]\w*|\d+)\s*>$")
 
 
+def _decimal(n: int) -> str:
+    """The decimal text of an integer of any size: every text form writes its integers here.
+
+    ``str`` refuses past the interpreter's digit limit (4,300 digits by
+    default, set process-wide), so a longer number is split in halves by
+    a power of ten; the limit itself is never read or changed.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(n, 10 ** k)
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_multiset(phi: Multiset) -> str:
     if not phi:
         return "0"
-    return " + ".join(f"{n}|{x}>" for x, n in phi.items())
+    return " + ".join(f"{_decimal(n)}|{x}>" for x, n in phi.items())
 
 
 def parse_multiset(text: str, ground: GroundSet | None = None) -> Multiset:

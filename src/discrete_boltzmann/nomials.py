@@ -235,7 +235,11 @@ class NomialTable:
 
     @property
     def rows(self) -> list[list[int]]:
-        return list(itertools.islice(_rows(self._n, (self._n - 1) * self._k_max), self._k_max + 1))
+        return list(self._each_row())
+
+    def _each_row(self) -> Iterator[list[int]]:
+        """Rows K = 0..K_max from one window pass, each made as it is read."""
+        return itertools.islice(_rows(self._n, (self._n - 1) * self._k_max), self._k_max + 1)
 
     def row(self, k: int) -> list[int]:
         if not 0 <= k <= self._k_max:

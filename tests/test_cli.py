@@ -49,7 +49,7 @@ class TestNomialCommands:
 
     def test_value_beyond_the_int_to_str_digit_limit(self, capsys):
         # C(17999, 9000) has 5,417 digits, past the interpreter's default
-        # limit of 4,300; the limit is lifted for the command and restored
+        # limit of 4,300; the command prints it without changing the limit
         get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
         before = get_limit()
         code, lines = run_lines(capsys, "nomial", "value", "--levels", "9001",
