@@ -5,7 +5,8 @@ Flags mirror the conventional letters: ``--levels`` is N, ``--particles``
 
 Every distribution output carries the exact rationals; floats are a
 convenience rendering and are flagged as approximate in JSON output.
-Exit codes: 0 success, 1 failed verification, 2 usage or domain error.
+Exit codes: 0 success, 1 failed verification or a stdout closed early
+(with nothing on stderr), 2 usage or domain error.
 The environment variable DBOLTZ_FORMAT picks the default output format.
 """
 
@@ -400,10 +401,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     args.command_echo = ["dboltz", *argv]
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: send what stdout still buffers to devnull, so the
+        # interpreter's last flush cannot fail, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,10 @@ then the element between ``|`` and ``>``.  Multiset elements nest their
 own kets (``1/5|3|0> + 1|3>>``); tuple elements list their components
 separated by commas inside the outer ket.  Parsing splits terms at the
 `` + `` occurrences outside any ket, tracking ``|``/``>`` nesting, and
-recovers the exact rational weights.  Text of any length is written, but
-reading follows the interpreter's int-to-str digit limit, so an exported
-distribution round-trips bit-exactly while its integers stay within it.
+recovers the exact rational weights.  Integers of any length are written
+by ``multisets._decimal`` and read by ``multisets._integer``, past the
+interpreter's int-to-str digit limit too, so an exported distribution
+round-trips bit-exactly.
 
 JSON form: a list of ``{element, numerator, denominator, probability}``
 records.  The rational fields are authoritative; ``probability`` is the
@@ -17,10 +18,11 @@ float n / d, as ``float(Fraction(n, d))`` rounds it.  CSV form:
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from .distributions import Dist, element_text
-from .multisets import GroundSet, Multiset, _decimal, parse_multiset
+from .multisets import GroundSet, Multiset, _decimal, _integer, parse_multiset
 
 __all__ = [
     "format_dist",
@@ -36,20 +38,21 @@ def format_dist(omega: Dist) -> str:
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` occurrences that sit outside all kets."""
-    parts, depth, start, pos = [], 0, 0, 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "|":
+    """Split on ``sep`` occurrences that sit outside all kets.
+
+    Only bars, closing brackets and ``sep`` are visited, so the digits of
+    long weights are skipped at C speed.
+    """
+    parts, depth, start = [], 0, 0
+    for m in re.finditer(f"[|>]|{re.escape(sep)}", text):
+        mark = m.group()
+        if mark == "|":
             depth += 1
-        elif ch == ">":
+        elif mark == ">":
             depth -= 1
-        elif depth == 0 and text.startswith(sep, pos):
-            parts.append(text[start:pos])
-            pos += len(sep)
-            start = pos
-            continue
-        pos += 1
+        elif depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
     parts.append(text[start:])
     return parts
 
@@ -62,7 +65,7 @@ def _parse_element(text: str, ground: GroundSet | None) -> Any:
     if "|" in text:
         return parse_multiset(text, ground)
     if text.lstrip("-").isdigit():
-        return int(text)
+        return _integer(text)
     return text
 
 
@@ -71,7 +74,8 @@ def parse_dist(text: str, ground: GroundSet | None = None) -> Dist:
 
     ``ground`` scopes any multiset elements; without it each multiset
     infers its own ground, which is only safe when every element names
-    every label.  Weights are parsed as exact rationals.
+    every label.  Weights are parsed as exact rationals, and integers past
+    the interpreter's digit limit are read too.
     """
     from fractions import Fraction
     pairs = []
@@ -80,8 +84,11 @@ def parse_dist(text: str, ground: GroundSet | None = None) -> Dist:
         bar = term.index("|")
         if not term.endswith(">"):
             raise ValueError(f"malformed distribution term {term!r}")
-        try:
-            weight = Fraction(term[:bar].strip())
+        written = term[:bar].strip()
+        num, slash, den = written.partition("/")
+        try:  # the n/d and n forms the writer makes at any length; others as Fraction reads them
+            weight = (Fraction(_integer(num), _integer(den) if slash else 1)
+                      if num.isdecimal() and (den.isdecimal() or not slash) else Fraction(written))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in distribution term {term!r}") from None
         element = _parse_element(term[bar + 1:-1], ground)

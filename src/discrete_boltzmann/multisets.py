@@ -469,6 +469,25 @@ def _decimal(n: int) -> str:
         return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _integer(text: str) -> int:
+    """The integer a decimal text writes, of any length: ket text reads its integers here.
+
+    ``int`` refuses past the interpreter's digit limit, so a longer
+    string of decimal digits, signed or not, is split in halves as
+    ``_decimal`` splits numbers; any other text ``int`` refuses raises its
+    error.  The limit itself is never read or changed.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        sign, digits = (text[0], text[1:]) if text[:1] in ("+", "-") else ("", text)
+        if not digits.isdecimal():
+            raise
+        k = len(digits) // 2
+        value = _integer(digits[:-k]) * 10 ** k + _integer(digits[-k:])
+        return -value if sign == "-" else value
+
+
 def format_multiset(phi: Multiset) -> str:
     if not phi:
         return "0"
@@ -492,7 +511,7 @@ def parse_multiset(text: str, ground: GroundSet | None = None) -> Multiset:
         if not m:
             raise ValueError(f"malformed multiset term {part.strip()!r}")
         count, label = m.groups()
-        pairs.append((int(label) if label.isdigit() else label, int(count)))
+        pairs.append((_integer(label) if label.isdigit() else label, _integer(count)))
     if ground is None:
         ground = _inferred_ground(x for x, _ in pairs)
     return Multiset(ground, pairs)

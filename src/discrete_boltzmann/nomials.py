@@ -3,33 +3,40 @@
 C_N(K, i) counts the length-K sequences over {0, ..., N-1} whose entries
 sum to i.  The binomial coefficients are the N=2 column of this family,
 the trinomial and quadrinomial triangles the N=3 and N=4 columns.  The
-four routes here (direct sequence enumeration, summing multiset
-coefficients, the row recursion, and the multichoose closed form for
-i < N) agree wherever their preconditions overlap; tests and the
-verification sweep hold them against each other.
+routes here (direct sequence enumeration, summing multiset coefficients,
+the row recursion, the multichoose closed form for i < N, and
+``nomial``'s inclusion-exclusion sum) agree wherever their
+preconditions overlap; tests and the verification sweep hold them
+against each other.
 
 Row K of the triangle holds the coefficients of (1 + x + ... + x^(N-1))^K.
 Two row steps, which share no code, build it.  The sliding window
 ``_rows`` makes row K from row K-1 at O(1) per cell, for the whole
 triangle (``NomialTable.rows``) and the recursion oracle.
 ``_row(n, k, width)`` runs the D-finite recurrence of one row, at O(1)
-big-integer steps per entry and with no earlier row; every other reader,
-``NomialTable.row`` included, calls it once per row it reads, so rows
-read together (the level-sum law's K-L, the Vandermonde split's K1 and
-K2, an urn's per-label rows) are independent runs.
+big-integer steps per entry and with no earlier row; every other reader
+of a row, ``NomialTable.row`` included, calls it once per row it reads,
+so rows read together (the level-sum law's K-L, the Vandermonde split's
+K1 and K2, an urn's per-label rows) are independent runs.
 
-Every row is a palindrome: level reversal j -> N-1-j preserves multiset
-coefficients (``multisets.reverse``), so C_N(K, i) = C_N(K, T - i) with
-T = (N-1)K.  ``nomial`` reads one value at w = min(i, T - i): from the
-multichoose closed form below N (the top N-1 sums and the bottom N),
-else from one run of the recurrence at O(w) steps, and every other
-reader of one value calls it.  ``nomial_recursive`` reads the window
-at i, an independent oracle for the mirror.
+A single value reads no row.  Every row is a palindrome: level reversal
+j -> N-1-j preserves multiset coefficients (``multisets.reverse``), so
+C_N(K, i) = C_N(K, T - i) with T = (N-1)K.  ``nomial`` reads one value at
+w = min(i, T - i) from the inclusion-exclusion sum
+
+    C_N(K, w) = sum_j (-1)^j C(K, j) C(w - jN + K - 1, K - 1),  j <= w // N,
+
+stepping each term from the one before by one exact ratio, so a value
+costs w // N + 1 steps; below N the sum is its first term, the
+multichoose closed form.  Every other reader of one value calls it.
+``nomial_recursive`` reads the window at i, an independent oracle for
+both the sum and the mirror.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb, perm
 from operator import sub
 from collections.abc import Iterator
 
@@ -108,16 +115,33 @@ def nomial_closed_form(n: int, k: int, i: int) -> int:
 
 
 def nomial(n: int, k: int, i: int) -> int:
-    """C_N(K, i) via the cheapest applicable route.
+    """C_N(K, i) from the inclusion-exclusion sum, read on the row's shorter side.
 
-    Reads the row from its shorter side, C_N(K, i) = C_N(K, T - i) with
-    T = (N-1)K, at w = min(i, T - i): multichoose(K, w) below N (the
-    bottom N and the top N-1 sums), else entry w of one run of ``_row``'s
-    recurrence at O(w) steps.  Never 0 for valid parameters.
+    With T = (N-1)K and w = min(i, T - i), C_N(K, i) = C_N(K, w) is
+
+        sum_{j <= w // N} (-1)^j C(K, j) C(m_j, K - 1),  m_j = w - jN + K - 1,
+
+    where w <= T/2 keeps w // N below K, so C(K, j) never runs out.  The
+    first term is one ``math.comb``; each later term is the one before
+    times the exact ratio (K - j)/(j + 1) * C(m_j - N, K - 1)/C(m_j, K - 1),
+    whose binomial part cancels to two falling products of
+    r = min(N, K - 1) factors each,
+    perm(m_j - max(N, K - 1), r) / perm(m_j, r).  A value costs w // N + 1
+    steps and reads no row; below N it is the first term,
+    multichoose(K, w).  K = 0 is the empty sequence's 1.  Never 0 for
+    valid parameters.
     """
     _check_sum_space(n, k, i)
+    if k == 0:
+        return 1
     w = min(i, (n - 1) * k - i)
-    return multichoose(k, w) if k >= 1 and w < n else _row(n, k, w)[w]
+    m, r, cut = w + k - 1, min(n, k - 1), max(n, k - 1)
+    term = total = comb(m, k - 1)
+    for j in range(w // n):
+        term = term * (k - j) * perm(m - cut, r) // ((j + 1) * perm(m, r))
+        total += term if j % 2 else -term
+        m -= n
+    return total
 
 
 def nomial_prefix_sum(n: int, k: int, bound: int) -> int:
@@ -196,7 +220,7 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     The rows K1 and K2 are cut at min(i, T - i) with T = (N-1)(K1+K2),
     each from its own run of ``_row``'s recurrence at O(min(i, T - i))
     steps, and the left side is ``nomial``'s value, so the convolution
-    is held against the closed form below N and a third run otherwise.
+    is held against the inclusion-exclusion sum, which reads no row.
     Reflecting every level maps the split at i term by term onto the
     split at T - i (i1 -> (N-1)K1 - i1), so both cuts check the same sum.
     """

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +19,7 @@ from discrete_boltzmann.cli import export_plot_data, run
 from discrete_boltzmann.ketform import parse_dist
 
 F = Fraction
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_lines(capsys, *argv):
@@ -297,3 +300,25 @@ class TestPlotExport:
         assert path.exists()
         rows = path.read_text().strip().splitlines()
         assert len(rows) > 2
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the command quietly with exit 1."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, read", [
+        (["nomial", "table", "--levels", "3", "--max-length", "300"], 5),  # as `| head -c 5`
+        (["nomial", "value", "--levels", "3", "--length", "3", "--sum", "3"], 0),
+    ], ids=["table", "value"])
+    def test_no_error_text(self, argv, read, buffered):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "discrete_boltzmann.cli", *argv],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

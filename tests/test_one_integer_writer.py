@@ -14,14 +14,22 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 
-from discrete_boltzmann import Dist, GroundSet, Multiset, format_multiset, ratio_approx
+from discrete_boltzmann import (
+    Dist,
+    GroundSet,
+    Multiset,
+    format_multiset,
+    parse_multiset,
+    ratio_approx,
+)
 from discrete_boltzmann import ketform
 from discrete_boltzmann.cli import run
-from discrete_boltzmann.ketform import _json_text, dist_to_json, dist_to_json_text
-from discrete_boltzmann.multisets import _decimal
+from discrete_boltzmann.ketform import _json_text, dist_to_json, dist_to_json_text, parse_dist
+from discrete_boltzmann.multisets import _decimal, _integer
 
 needs_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                  reason="no int-to-str digit limit before Python 3.10.7")
@@ -61,14 +69,15 @@ class TestPastTheLimit:
         envelope = json.loads(capsys.readouterr().out, parse_int=len)  # ints as digit counts
         assert [r["denominator"] for r in envelope["payload"]] == [4001, 8000, 8000]
 
-    def test_urn_text_past_the_limit_follows_the_interpreter(self, capsys):
-        # reading integers follows the limit, as argparse and parse_multiset do
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("the digit limit is lifted for this interpreter")
+    def test_urn_text_past_the_limit_is_read(self, capsys):
+        # `--urn` text reads its counts through `_integer`; the integer flags still follow the limit
+        limit = sys.get_int_max_str_digits() or 4300
+        big = 10 ** limit
         assert run(["multivariate", "polya", "--urn", "1" + "0" * limit + "|a> + 1|b>",
-                    "--draw", "1"]) == 2
-        assert f"Exceeds the limit ({limit} digits)" in capsys.readouterr().err
+                    "--draw", "1"]) == 0
+        with _lifted_limit():
+            expected = f"{big}/{big + 1}|1|a>> + 1/{big + 1}|1|b>>"
+        assert capsys.readouterr().out.strip() == expected
 
     def test_dist_to_json_text_outside_the_cli(self):
         omega = ratio_approx(2000, 1000)
@@ -96,6 +105,49 @@ class TestPastTheLimit:
         texts = [_decimal(n) for n in numbers]
         with _lifted_limit():
             assert texts == [str(n) for n in numbers]
+
+
+@needs_limit
+class TestReader:
+    """``multisets._integer`` reads what ``_decimal`` writes, past the limit too."""
+
+    def test_integer_of_long_digit_strings(self):
+        limit = sys.get_int_max_str_digits()
+        numbers = [0, 7, -7, 10 ** 5000, -(10 ** 5000 - 1), 3 ** 20000, -(2 ** 40000) + 1]
+        assert [_integer(_decimal(n)) for n in numbers] == numbers
+        assert _integer("+" + "0" * 4999 + "12") == 12
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("text", ["", "-", "--5", "1 2", "x" * 5000, "1" * 5000 + "x",
+                                      "-" + "1" * 5000 + "-", " " + "1" * 5000, "²" * 5000])
+    def test_integer_refuses_what_int_refuses(self, text):
+        with pytest.raises(ValueError):
+            _integer(text)
+
+    def test_dist_round_trip_past_the_limit(self):
+        for omega in (Dist({0: 1, 1: 10 ** 5000 - 1}, 10 ** 5000),
+                      Dist({10 ** 5000: 1, -(10 ** 5000): 3}, 4),
+                      ratio_approx(2000, 1000)):
+            assert parse_dist(str(omega)) == omega
+
+    def test_multiset_round_trip_past_the_limit(self):
+        phi = parse_multiset("1" * 5000 + "|a>")
+        assert phi("a") == (10 ** 5000 - 1) // 9
+        assert str(phi) == "1" * 5000 + "|a>"
+        psi = Multiset(GroundSet([0, 1]), {0: 2, 1: 3 ** 20000})
+        assert parse_multiset(str(psi)) == psi
+        omega = Dist({psi: 1, phi: 2}, 3)
+        assert parse_dist(str(omega)) == omega
+
+    @pytest.mark.parametrize("text, weights", [
+        ("1/2|0> + 0.5|1>", {0: F(1, 2), 1: F(1, 2)}),
+        ("2/4|a> + 1/2|b>", {"a": F(1, 2), "b": F(1, 2)}),
+        (" 1/3 |0> + 2/3|1>", {0: F(1, 3), 1: F(2, 3)}),
+        ("1e-1|-3> + 9/10|3>", {-3: F(1, 10), 3: F(9, 10)}),
+        ("+1|x>", {"x": 1}),
+    ])
+    def test_other_weight_texts_parse_as_before(self, text, weights):
+        assert parse_dist(text) == Dist(weights)
 
 
 class TestJsonWriter:

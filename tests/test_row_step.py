@@ -267,16 +267,20 @@ class TestOnePass:
         boltzmann_multi_on_levels(6, psi, 45)
         assert passes == []
 
-    def test_numbers_family_below_n(self, passes, monkeypatch):
-        normalizers = []
+    @pytest.mark.parametrize("n, k, i", [(2001, 1000, 2000), (30, 100, 1450)])
+    def test_single_values_read_no_row(self, passes, monkeypatch, n, k, i):
+        recurrences = []
 
-        def counted(m, j):
-            normalizers.append((m, j))
-            return math.comb(m + j - 1, j)
+        def counted(n, k, width):
+            recurrences.append((n, k, width))
+            return _row(n, k, width)
 
-        monkeypatch.setattr(nomials, "multichoose", counted)
-        boltzmann_on_numbers(2001, 1000, 2000)
-        assert passes == [] and normalizers == [(1000, 2000)]
+        monkeypatch.setattr(nomials, "_row", counted)
+        assert nomial(n, k, i) == oracle(n, k, i)
+        assert recurrences == []
+        boltzmann_on_numbers(n, k, i)
+        assert vandermonde_check(n, k // 2, k - k // 2, i) is True
+        assert passes == []
 
     def test_recursion_still_reads_the_window(self, passes):
         assert nomial_recursive(4, 5, 2) == oracle(4, 5, 2)
