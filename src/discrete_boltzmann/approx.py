@@ -85,12 +85,17 @@ def _geometric(e: int, p: int, q: int) -> Dist:
 
     E + 1 weights of up to E * log2(max(p, q)) bits each are refused,
     before any is built, when together they pass ``MAX_LIFT_BITS``.
+    For coprime p, q the sum S of the weights is q^E (mod p) and p^E
+    (mod q), so it shares no prime with any weight: the law is marked
+    ``_coprime`` and its weights are read with no gcd.
     """
     _check_weight_bits(e, math.log2(max(p, q)), f"geometric weights on 0..{e}")
     weights = [q ** e]
     for _ in range(e):
         weights.append(weights[-1] // q * p)
-    return Dist._from_counts(range(e + 1), weights, sum(weights))
+    dist = Dist._from_counts(range(e + 1), weights, sum(weights))
+    dist._coprime = math.gcd(p, q) == 1
+    return dist
 
 
 def ratio_approx(e: int, mu: Rational) -> Dist:

@@ -20,6 +20,11 @@ counts are dropped, and there is no per-element type test, fraction
 scaling or merging.  It refuses a negative count and a repeated element
 with the messages of ``Dist(...)``, and it ends in the same sum check
 and gcd reduction, which both constructors share.
+Weights are read in lowest terms through ``Dist._reduced``, one gcd per
+element, except in a law marked ``_coprime``: ``approx``'s geometric
+laws, whose weights p^j q^(E-j) / S over coprime p, q are in lowest
+terms already, since their sum S = q^E (mod p) and S = p^E (mod q)
+shares no prime with p or q.  Their ``Fraction``s are built with no gcd.
 The only floating-point outputs here are ``entropy`` and
 ``kl_divergence`` (natural-log convention, 0*ln 0 = 0).  KL and the
 total variation read one private walk of the cross products n * D and
@@ -65,7 +70,8 @@ __all__ = [
 class Dist:
     """A finite formal convex sum of elements with exact rational weights."""
 
-    __slots__ = ("_num", "_den")
+    # _coprime: every numerator is coprime to the denominator (see _reduced)
+    __slots__ = ("_num", "_den", "_coprime")
 
     def __init__(self, weights: Weights, total: int = 1):
         items = weights.items() if isinstance(weights, Mapping) else weights
@@ -111,6 +117,7 @@ class Dist:
         g = math.gcd(den, *num.values())
         self._num = {x: n // g for x, n in num.items()} if g > 1 else num
         self._den = den // g
+        self._coprime = False
 
     @property
     def support(self) -> tuple[Any, ...]:
@@ -124,13 +131,17 @@ class Dist:
         return tuple(self._num.items())
 
     def items(self) -> tuple[tuple[Any, Fraction], ...]:
-        return tuple((x, Fraction(n, self._den)) for x, n in self._num.items())
+        return tuple((x, _fraction(n, d)) for x, n, d in self._reduced())
 
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self._den) for n in self._num.values())
+        return tuple(_fraction(n, d) for _, n, d in self._reduced())
 
     def __call__(self, x: Any) -> Fraction:
-        return Fraction(self._num.get(x, 0), self._den)
+        m = self._num.get(x)
+        if m is None:
+            return Fraction(0)
+        ((_, n, d),) = self._reduced([(x, m)])
+        return _fraction(n, d)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._num)
@@ -147,13 +158,22 @@ class Dist:
     def map(self, f: Callable[[Any], Any]) -> "Dist":
         return image(self, f)
 
-    def _reduced(self) -> Iterator[tuple[Any, int, int]]:
-        """Each element with its weight in lowest terms, as (element,
-        numerator, denominator), from one gcd per element."""
+    def _reduced(self, pairs: Iterable[tuple[Any, int]] | None = None
+                 ) -> Iterator[tuple[Any, int, int]]:
+        """Each stored (element, numerator) pair, or each of ``pairs``, with
+        its weight in lowest terms, as (element, numerator, denominator).
+        A law marked ``_coprime`` holds every weight in lowest terms already
+        and takes no gcd; any other law takes one gcd per element."""
         den = self._den
-        for x, m in self._num.items():
-            g = math.gcd(m, den)
-            yield x, m // g, den // g
+        if pairs is None:
+            pairs = self._num.items()
+        if self._coprime:
+            for x, m in pairs:
+                yield x, m, den
+        else:
+            for x, m in pairs:
+                g = math.gcd(m, den)
+                yield x, m // g, den // g
 
     def __str__(self) -> str:
         terms = []
@@ -165,6 +185,15 @@ class Dist:
 
     def __repr__(self) -> str:
         return f"<Dist {self}>"
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The ``Fraction`` n/d of a pair already in lowest terms with d > 0,
+    built with no gcd, as 3.12's ``Fraction._from_coprime_ints`` builds it."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def element_text(x: Any) -> str:

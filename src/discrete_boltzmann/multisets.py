@@ -491,7 +491,8 @@ def _integer(text: str) -> int:
 def format_multiset(phi: Multiset) -> str:
     if not phi:
         return "0"
-    return " + ".join(f"{_decimal(n)}|{x}>" for x, n in phi.items())
+    return " + ".join(f"{_decimal(n)}|{_decimal(x) if type(x) is int else x}>"
+                      for x, n in phi.items())
 
 
 def parse_multiset(text: str, ground: GroundSet | None = None) -> Multiset:

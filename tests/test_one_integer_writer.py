@@ -95,6 +95,14 @@ class TestPastTheLimit:
         assert format_multiset(phi) == str(phi) == "9" * 5000 + "|a> + 2|b>"
         assert sys.get_int_max_str_digits() == limit
 
+    def test_format_multiset_writes_a_long_label(self):
+        ground = GroundSet([0, 10 ** 5000])
+        phi = Multiset(ground, {10 ** 5000: 1})
+        assert format_multiset(phi) == str(phi) == f"1|1{'0' * 5000}>"
+        assert parse_multiset(str(phi), ground) == phi
+        omega = Dist({phi: 1, Multiset(ground, {0: 1}): 1}, 2)
+        assert parse_dist(str(omega), ground) == omega
+
     def test_long_integer_elements_in_kets_and_csv(self):
         omega = Dist({10 ** 5000: 1, -(10 ** 5000): 1}, 2)
         assert str(omega) == f"1/2|1{'0' * 5000}> + 1/2|-1{'0' * 5000}>"
