@@ -27,11 +27,16 @@ vector is built; each intermediate's counts come from its source vector
 and its drop level.
 
 ``shift_channel`` compiles one (N, K, i) space once into the two factors
-and is a ``Channel`` in its own right.  Iteration pushes an integer
-vector over one denominator through the drop and the climb in turn; the
-stationarity residual is one step of it, each row of the level chain is
-one push of that level's flrn-dagger prior, and the matrix export
-assembles merged rows from the factors.  ``_priors`` owns that prior,
+and is a ``Channel`` in its own right.  The compile reads the space's
+count vectors and makes one drop pass: since the climb is the reversal
+of the drop, the intermediate psi climbs back to exactly the states that
+drop into it, so its climbs are the transpose of the drops, collected in
+that same pass.  Configurations are built only where the API returns
+them, on first use.  Iteration pushes an integer vector over one
+denominator through the drop and the climb in turn; the stationarity
+residual is one step of it, each row of the level chain is one push of
+that level's flrn-dagger prior, and the matrix export assembles merged
+rows from the factors.  ``_priors`` owns that prior,
 coefficient(phi) * phi(j) by state, for ``flrn_dagger`` and the level
 chain alike.
 """
@@ -41,11 +46,14 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .distributions import Channel, Dist, pushforward, total_variation
-from .multisets import Multiset, _count_with_sum, coefficient, enumerate_multisets_with_sum
+from .distributions import Channel, Dist, _fraction, pushforward, total_variation
+from .multisets import (Multiset, _check_sum_space, _count_with_sum, _level_sum_fill, coefficient,
+                        levels)
 
 __all__ = [
     "shift",
@@ -80,16 +88,29 @@ def _vector(key: int, powers: list[int], k: int) -> tuple[int, ...]:
     return tuple([key // p % (k + 1) for p in powers])
 
 
-def _drop(vecs: list[tuple[int, ...]], keys: list[int], up: list[int], inters: dict[int, int]
+def _drop(vecs: list[tuple[int, ...]], keys: list[int], up: list[int], inters: dict[int, int],
+          climbs: list[_Row] | None = None
           ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, tuple[int, ...], int]]]:
     """The drop half on count vectors and their keys: per vector, per
     level d >= 1 held, in order, (m, vec[d]) over K, where m numbers in
     ``inters`` the intermediate with one particle moved to d - 1, of key
-    key - up[d - 1].  Intermediates are numbered as first reached; each
-    one new to ``inters`` comes back as (key, vec, d)."""
+    key - up[d - 1].  Intermediates are numbered as first reached.
+
+    Without ``climbs``, each intermediate new to ``inters`` comes back as
+    (key, vec, d) for ``_climb``.  With ``climbs``, ``vecs`` is a whole
+    space in colex order and the climb half is read as the transpose of
+    the drop half.  The intermediate psi climbs at level u to
+    psi - e_u + e_(u+1), which is exactly a vector that drops into psi at
+    d = u + 1, with numerator psi(u) = vec[d - 1] + 1, over
+    K - psi(N-1), where psi(N-1) is vec[N-1] less one for a drop from
+    the top.  Those sources last differ at level u + 1, so colex order
+    reaches them by ascending u, the order ``_climb`` lists them in.  So
+    ``climbs[m]`` gets intermediate m's climb row, with targets as
+    positions in ``vecs``, and nothing comes back."""
     rows, new = [], []
     number = inters.get
-    for vec, key in zip(vecs, keys):
+    top = len(up)
+    for j, (vec, key) in enumerate(zip(vecs, keys)):
         row = []
         d = 0
         for step in up:
@@ -100,7 +121,14 @@ def _drop(vecs: list[tuple[int, ...]], keys: list[int], up: list[int], inters: d
                 m = number(inter)
                 if m is None:
                     m = inters[inter] = len(inters)
-                    new.append((inter, vec, d))
+                    if climbs is None:
+                        new.append((inter, vec, d))
+                    else:
+                        climbs.append(([], [], sum(vec) - vec[-1] + (d == top)))
+                if climbs is not None:
+                    targets, nums, _ = climbs[m]
+                    targets.append(j)
+                    nums.append(vec[d - 1] + 1)
                 row.append((m, w))
         rows.append(row)
     return rows, new
@@ -110,7 +138,9 @@ def _climb(inters: list[tuple[int, tuple[int, ...], int]], up: list[int]) -> Ite
     """The climb half on the intermediates (key, vec, d) that ``_drop``
     returns: for the intermediate psi, vec with one particle moved from d
     to d - 1, per level u < N - 1 held, in order, the target key
-    key + up[u] and the numerator psi(u), over their sum K - psi(N-1)."""
+    key + up[u] and the numerator psi(u), over their sum K - psi(N-1).
+    It serves single rows, where no state list exists; the compiled
+    chain reads its climbs off the drop pass."""
     for key, vec, d in inters:
         psi = list(vec)
         psi[d - 1] += 1
@@ -173,23 +203,31 @@ def shift(phi: Multiset) -> Dist:
                               for t in targets], nums, den)
 
 
+def _space(n: int, k: int, i: int) -> list[tuple[int, ...]]:
+    """The count vectors of one (N, K, i) space in enumeration order,
+    after its one check; an invalid space raises."""
+    _check_sum_space(n, k, i)
+    return list(_level_sum_fill(n, k, i))
+
+
 class _ShiftChain(Channel):
     """The shift chain on one (N, K, i) space as stay + drop * climb.
 
-    ``states`` are the configurations in enumeration order and ``index``
-    maps each count vector to its position.  State j stays with numerator
-    ``stay[j]`` = phi(0) and drops by ``drops[j]``, one (intermediate,
-    phi(d)) per level d >= 1 it holds, all over K.  The intermediates, of
-    energy i - 1, are numbered as the drops first reach them;
-    ``climbs[m]`` holds intermediate m's target indices, numerators psi(u)
-    and denominator K - psi(N-1).  Each factor row has O(N) entries.
-    The compile moves integer keys, key(v) = sum of v[j] * (K + 1)^j: a
-    drop at level d adds (K + 1)^(d-1) - (K + 1)^d and a climb at level u
-    adds (K + 1)^(u+1) - (K + 1)^u, and a dict from key to index, built
-    for the compile alone, turns each target key into its state.
-    ``push`` is two sparse passes; ``row(j)`` is the merged row of
-    ``shift`` from state j in lowest terms, and calling the channel gives
-    it as a ``Dist``.
+    ``vecs`` are the states' count vectors in enumeration order.  State j
+    stays with numerator ``stay[j]`` = phi(0) and drops by ``drops[j]``,
+    one (intermediate, phi(d)) per level d >= 1 it holds, all over K.  The
+    intermediates, of energy i - 1, are numbered as the drops first reach
+    them; ``climbs[m]`` holds intermediate m's target indices, numerators
+    psi(u) and denominator K - psi(N-1).  Each factor row has O(N) entries.
+    The compile moves integer keys, key(v) = sum of v[j] * (K + 1)^j, a
+    drop at level d adding (K + 1)^(d-1) - (K + 1)^d, and makes one pass:
+    the climbs are the transpose of the drops, since the states that drop
+    into an intermediate are exactly the ones it climbs back to, so the
+    pass that numbers the intermediates also lists their climbs.
+    ``states`` (the configurations) and ``index`` (count vector to
+    position) are built on first use and kept.  ``push`` is two sparse
+    passes; ``row(j)`` is the merged row of ``shift`` from state j in
+    lowest terms, and calling the channel gives it as a ``Dist``.
 
     The chain is reversible under the Boltzmann law pi on multisets: the
     climb is the pi-reversal of the drop, so pi(phi) * P(phi, phi') =
@@ -197,26 +235,37 @@ class _ShiftChain(Channel):
     ``verify`` checks on these rows.
     """
 
-    __slots__ = ("ground", "space", "states", "index", "stay", "drops", "climbs")
+    __slots__ = ("ground", "space", "vecs", "stay", "drops", "climbs", "_states", "_index")
 
     def __init__(self, n: int, k: int, i: int):
-        self.states = list(enumerate_multisets_with_sum(n, k, i))
-        self.ground = self.states[0].ground
+        self.vecs = vecs = _space(n, k, i)
+        self.ground = levels(n)
         self.space = (k, i)
-        vecs = [phi.counts_vector() for phi in self.states]
-        self.index = {v: j for j, v in enumerate(vecs)}
+        self._states = self._index = None
         self.stay = [v[0] for v in vecs]
         powers, up = _key_moves(n, k)
         keys = [sum(map(operator.mul, v, powers)) for v in vecs]
-        self.drops, inters = _drop(vecs, keys, up, {})
-        place = dict(zip(keys, range(len(keys)))).__getitem__
-        self.climbs = [(list(map(place, targets)), nums, c)
-                       for targets, nums, c in _climb(inters, up)]
+        self.climbs = []
+        self.drops, _ = _drop(vecs, keys, up, {}, self.climbs)
+
+    @property
+    def states(self) -> list[Multiset]:
+        """The configurations in enumeration order, built on first use."""
+        if self._states is None:
+            ground = self.ground
+            self._states = [Multiset._from_vector(ground, v) for v in self.vecs]
+        return self._states
+
+    @property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """The position of each count vector, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.vecs, range(len(self.vecs))))
+        return self._index
 
     def row(self, j: int) -> _Row:
         k = self.space[0]
-        low = k - self.states[j].counts_vector()[-1]
-        return _assemble(j, self.stay[j], self.drops[j], self.climbs, k, low)
+        return _assemble(j, self.stay[j], self.drops[j], self.climbs, k, k - self.vecs[j][-1])
 
     def locate(self, phi) -> int:
         """The index of ``phi``; raises unless it is a state of this space."""
@@ -230,13 +279,23 @@ class _ShiftChain(Channel):
 
     def __call__(self, phi: Multiset) -> Dist:
         targets, nums, den = self.row(self.locate(phi))
-        return Dist._from_counts([self.states[t] for t in targets], nums, den)
+        states = self.states
+        return Dist._from_counts([states[t] for t in targets], nums, den)
 
     def vector(self, omega: Dist) -> list[int]:
-        """The numerators of ``omega`` over its denominator, by state."""
-        vec = [0] * len(self.states)
+        """The numerators of ``omega`` over its denominator, by state.  Each
+        ground object met is compared with the space's ground once, by
+        ``locate``; elements on a ground already met are looked up directly."""
+        vec = [0] * len(self.vecs)
+        index = self.index.get
+        ground = None
         for phi, m in omega.numerators():
-            vec[self.locate(phi)] = m
+            j = (index(phi.counts_vector())
+                 if isinstance(phi, Multiset) and phi.ground is ground else None)
+            if j is None:
+                j = self.locate(phi)
+                ground = phi.ground
+            vec[j] = m
         return vec
 
     def push(self, vec: list[int], den: int) -> tuple[list[int], int]:
@@ -251,13 +310,14 @@ class _ShiftChain(Channel):
             if c:
                 for m, w in drops:
                     mid[m] += c * w
-        live = [(c, self.climbs[m]) for m, c in enumerate(mid) if c]
-        scale = math.lcm(*{d for _, (_, _, d) in live})
+        climbs = self.climbs
+        scale = math.lcm(*{climbs[m][2] for m, c in enumerate(mid) if c})
         out = [c * s * scale for c, s in zip(vec, self.stay)]
-        for c, (targets, nums, d) in live:
-            c *= scale // d
-            for t, x in zip(targets, nums):
-                out[t] += c * x
+        for c, (targets, nums, d) in zip(mid, climbs):
+            if c:
+                c *= scale // d
+                for t, x in zip(targets, nums):
+                    out[t] += c * x
         den *= k * scale
         g = math.gcd(den, *out)
         return ([x // g for x in out], den // g) if g > 1 else (out, den)
@@ -265,7 +325,8 @@ class _ShiftChain(Channel):
 
 def _vector_distance(a: list[int], a_den: int, b: list[int], b_den: int) -> Fraction:
     """Total variation between a/a_den and b/b_den over the same states."""
-    return Fraction(sum(abs(x * b_den - y * a_den) for x, y in zip(a, b)), 2 * a_den * b_den)
+    gaps = map(operator.sub, map(b_den.__mul__, a), map(a_den.__mul__, b))
+    return Fraction(sum(map(abs, gaps)), 2 * a_den * b_den)
 
 
 def shift_channel(n: int, k: int, i: int) -> Channel:
@@ -309,10 +370,11 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
     """Bayesian inversion of frequentist learning with the Boltzmann
     prior: from a level j back to the configurations containing it,
     each weighted by coefficient(phi) * phi(j), normalized."""
-    states = list(enumerate_multisets_with_sum(n, k, i))
-    columns = zip(*(phi.counts_vector() for phi in states))
+    vecs = _space(n, k, i)
+    ground = levels(n)
+    states = [Multiset._from_vector(ground, v) for v in vecs]
     rows = {j: Dist._from_counts(states, prior, sum(prior))
-            for j, prior in _priors(states, columns)}
+            for j, prior in _priors(states, zip(*vecs))}
     return _level_channel(rows, k, i)
 
 
@@ -326,7 +388,7 @@ def shift_on_numbers(n: int, k: int, i: int) -> Channel:
     rho(j') Q(j', j) on every pair of levels.
     """
     chain = _ShiftChain(n, k, i)
-    columns = list(zip(*(phi.counts_vector() for phi in chain.states)))
+    columns = list(zip(*chain.vecs))
     rows = {}
     for j, prior in _priors(chain.states, columns):
         vec, den = chain.push(prior, sum(prior))
@@ -353,7 +415,8 @@ def iterate_chain(omega0: Dist, channel: Channel, steps: int,
             out.append((step, total_variation(current, reference)))
         return out
     vec, den = channel.vector(omega0), omega0.denominator
-    ref, ref_den = channel.vector(reference), reference.denominator
+    ref, ref_den = ((vec, den) if reference is omega0
+                    else (channel.vector(reference), reference.denominator))
     out = [(0, _vector_distance(vec, den, ref, ref_den))]
     for step in range(1, steps + 1):
         vec, den = channel.push(vec, den)
@@ -381,7 +444,11 @@ def transition_matrix(n: int, k: int, i: int,
         row = [zero] * size
         targets, nums, den = chain.row(j)
         for t, m in zip(targets, nums):
-            row[t] = weights.get((m, den)) or weights.setdefault((m, den), Fraction(m, den))
+            w = weights.get((m, den))
+            if w is None:
+                g = math.gcd(m, den)
+                w = weights[m, den] = _fraction(m // g, den // g)
+            row[t] = w
         rows.append(row)
     return chain.states, rows
 
@@ -390,11 +457,11 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
     """Demo Monte-Carlo walk along the chain with a seeded generator.
 
     Each successor is drawn exactly: one uniform integer below the
-    step's denominator walks its integer cumulative numerators, in the
-    order of ``shift(phi).numerators()``.  It walks integer keys, one
-    row per visited configuration, reads each key reached back into its
-    count vector once, and builds configurations only for the path it
-    returns.  Sampling is a demonstration feature only; every
+    step's denominator is placed by bisection among its integer
+    cumulative numerators, in the order of ``shift(phi).numerators()``.
+    It walks integer keys, one row per visited configuration, and builds
+    each configuration reached once, reusing it wherever the path
+    returns to it.  Sampling is a demonstration feature only; every
     equilibrium claim here is established by exact pushforward instead.
     """
     if steps < 0:
@@ -407,23 +474,20 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
     k = sum(vec)
     powers, up = _key_moves(len(vec), k)
     key = sum(map(operator.mul, vec, powers))
-    vectors = {key: vec}  # the count vector of each key reached
-    rows: dict[int, _Row] = {}
+    configs = {key: phi0}  # the configuration of each key reached
+    rows: dict[int, _Row] = {}  # targets, cumulative numerators, denominator
     inters: dict[int, int] = {}
     climbs: list[_Row] = []
-    keys = []
+    path = [phi0]
     for _ in range(steps):
         row = rows.get(key)
         if row is None:
-            row = rows[key] = _shift_row(vectors[key], key, up, inters, climbs)
-        targets, nums, den = row
-        r = rng.randrange(den)
-        for target, m in zip(targets, nums):
-            r -= m
-            if r < 0:
-                key = target
-                break
-        if key not in vectors:
-            vectors[key] = _vector(key, powers, k)
-        keys.append(key)
-    return [phi0] + [Multiset._from_vector(ground, vectors[t]) for t in keys]
+            targets, nums, den = _shift_row(configs[key].counts_vector(), key, up, inters, climbs)
+            row = rows[key] = targets, list(accumulate(nums)), den
+        targets, cum, den = row
+        key = targets[bisect_right(cum, rng.randrange(den))]
+        phi = configs.get(key)
+        if phi is None:
+            phi = configs[key] = Multiset._from_vector(ground, _vector(key, powers, k))
+        path.append(phi)
+    return path

@@ -253,15 +253,25 @@ def som(phi: Multiset) -> int:
     return sum(n * x for x, n in phi.items())
 
 
+MAX_INFERRED_LEVELS = 1 << 20
+
+
 def _inferred_ground(labels: Iterable[Label]) -> GroundSet:
     """Canonical ground for bare labels: levels 0..max for numerics,
     sorted label order otherwise.  Canonicalizing here keeps multisets
-    equal regardless of the order their labels were first seen in."""
+    equal regardless of the order their labels were first seen in.
+    Every level up to max is a label of the ground, so a numeric label
+    of ``MAX_INFERRED_LEVELS`` or more is refused before any is built."""
     distinct = set(labels)
     if not distinct:
         raise ValueError("cannot infer a ground set from no labels")
     if all(isinstance(x, int) for x in distinct):
-        return levels(max(distinct) + 1)
+        top = max(distinct)
+        if top >= MAX_INFERRED_LEVELS:
+            shown = top if top.bit_length() <= 64 else f"of {top.bit_length()} bits"
+            raise ValueError(f"numeric labels infer the levels 0..max, at most "
+                             f"{MAX_INFERRED_LEVELS} of them; label {shown} is past them")
+        return levels(top + 1)
     if any(isinstance(x, int) for x in distinct):
         raise ValueError("cannot infer a ground set from mixed label types")
     return GroundSet(sorted(distinct))

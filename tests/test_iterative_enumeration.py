@@ -151,7 +151,7 @@ class TestBoundedSuccessor:
 
 class TestKeyedCompile:
     def test_factors_match_the_tuple_compile(self):
-        for n, k, i in spaces(6, 6):
+        for n, k, i in spaces(7, 8):
             chain = _ShiftChain(n, k, i)
             index, stay, drops, climbs = _tuple_compile([phi.counts_vector() for phi in chain.states])
             assert chain.index == index, (n, k, i)

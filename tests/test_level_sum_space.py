@@ -41,7 +41,7 @@ from discrete_boltzmann import (
     transition_matrix,
 )
 from discrete_boltzmann import markov
-from discrete_boltzmann.multisets import _count_with_sum
+from discrete_boltzmann.multisets import _count_with_sum, _level_sum_fill
 
 MESSAGE = re.compile(r"^sum -?\d+ out of range \[0, -?\d+\] for N=-?\d+, K=-?\d+")
 
@@ -184,8 +184,7 @@ class TestPriorOwner:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(markov, "enumerate_multisets_with_sum",
-                            counting("enumerate", enumerate_multisets_with_sum))
+        monkeypatch.setattr(markov, "_level_sum_fill", counting("enumerate", _level_sum_fill))
         monkeypatch.setattr(markov, "coefficient", counting("coefficient", coefficient))
         channel = build(n, k, i)
         for j in range(n):
