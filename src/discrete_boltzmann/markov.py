@@ -15,16 +15,21 @@ The kernel is the composite of two channels, P = (phi(0)/K) I + D C: the
 drop D moves a particle from level d >= 1 to d - 1 with weight phi(d)/K,
 and the climb C moves a particle of the intermediate psi from level
 u < N - 1 to u + 1 with weight psi(u)/(K - psi(N-1)).  ``_drop`` and
-``_climb`` compute those halves and own the move rule; each gives O(N)
-entries per row, where a merged row has O(N^2).  ``shift`` and the
-sampler assemble merged rows from them.
+``_climb`` compute those halves and own the move rule; each gives O(N')
+entries per row, where a merged row has O(N'^2), with N' the reachable
+levels below.  ``shift`` and the sampler assemble merged rows from them.
 
 The halves name configurations by integer keys, one base-(K + 1) digit
-per level since no count exceeds K: key(v) = sum of v[j] * (K + 1)^j.
-A drop at level d moves a key by (K + 1)^(d-1) - (K + 1)^d and a climb
-at level u by (K + 1)^(u+1) - (K + 1)^u, so no neighbouring count
-vector is built; each intermediate's counts come from its source vector
-and its drop level.
+per reachable level since no count exceeds K: key(v) = sum of
+v[j] * (K + 1)^j over the levels j < N' = min(N, i + 1), since no
+particle of a configuration of energy i sits above level i and a step
+keeps the energy.  A drop at level d moves a key by
+(K + 1)^(d-1) - (K + 1)^d and a climb at level u by
+(K + 1)^(u+1) - (K + 1)^u, so no neighbouring count vector is built;
+each intermediate's counts come from its source vector and its drop
+level.  Count vectors are N' long inside the chain and get their N - N'
+zeros only where a configuration over levels 0..N-1 is built or looked
+up.
 
 ``shift_channel`` compiles one (N, K, i) space once into the two factors
 and is a ``Channel`` in its own right.  The compile reads the space's
@@ -74,11 +79,12 @@ _Row = tuple[list, list[int], int]
 
 
 def _key_moves(n: int, k: int) -> tuple[list[int], list[int]]:
-    """The integer keys of the size-K count vectors over n levels, one
-    base-(K + 1) digit per level since no count exceeds K: the place
-    values ``powers`` = (K + 1)^j, so key(v) = sum of v[j] * (K + 1)^j,
-    and the moves ``up`` = (K + 1)^(u+1) - (K + 1)^u.  A climb at level u
-    adds up[u] to a key and a drop at level d subtracts up[d - 1]."""
+    """The integer keys of the size-K count vectors over the n = N'
+    reachable levels, one base-(K + 1) digit per level since no count
+    exceeds K: the place values ``powers`` = (K + 1)^j, so key(v) = sum
+    of v[j] * (K + 1)^j, and the moves ``up`` = (K + 1)^(u+1) - (K + 1)^u.
+    A climb at level u adds up[u] to a key and a drop at level d
+    subtracts up[d - 1]."""
     powers = [(k + 1) ** j for j in range(n)]
     return powers, [b - a for a, b in zip(powers, powers[1:])]
 
@@ -173,6 +179,17 @@ def _assemble(stay_key, stay: int, drops, climbs, k: int, low: int) -> _Row:
     return list(row), [x // g for x in row.values()], den // g
 
 
+def _keys_of(vec: tuple[int, ...]) -> tuple[int, list[int], list[int], tuple[int, ...]]:
+    """How a walk from the count vector ``vec`` over levels 0..N-1 is
+    keyed: its size K, the place values and moves of ``_key_moves`` over
+    its N' reachable levels, and the N - N' zeros that pad a decoded key
+    back to N levels.  A step keeps K and the energy E, so N' =
+    min(N, E + 1) holds for every configuration the walk reaches."""
+    k = sum(vec)
+    reach = _check_sum_space(len(vec), k, sum(map(operator.mul, vec, range(len(vec)))))
+    return k, *_key_moves(reach, k), (0,) * (len(vec) - reach)
+
+
 def _shift_row(vec: tuple[int, ...], key: int, up: list[int], inters: dict[int, int],
                climbs: list[_Row]) -> _Row:
     """The row of ``shift`` on a count vector and its key, targets as
@@ -196,38 +213,42 @@ def shift(phi: Multiset) -> Dist:
     if not phi.ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
     vec = phi.counts_vector()
-    k = sum(vec)
-    powers, up = _key_moves(len(vec), k)
-    targets, nums, den = _shift_row(vec, sum(map(operator.mul, vec, powers)), up, {}, [])
-    return Dist._from_counts([Multiset._from_vector(phi.ground, _vector(t, powers, k))
+    k, powers, up, pad = _keys_of(vec)
+    key = sum(map(operator.mul, vec, powers))
+    targets, nums, den = _shift_row(vec[:len(powers)], key, up, {}, [])
+    return Dist._from_counts([Multiset._from_vector(phi.ground, _vector(t, powers, k) + pad)
                               for t in targets], nums, den)
 
 
 def _space(n: int, k: int, i: int) -> list[tuple[int, ...]]:
-    """The count vectors of one (N, K, i) space in enumeration order,
-    after its one check; an invalid space raises."""
-    _check_sum_space(n, k, i)
-    return list(_level_sum_fill(n, k, i))
+    """The count vectors of one (N, K, i) space in enumeration order over
+    its N' reachable levels, after its one check; an invalid space
+    raises."""
+    return list(_level_sum_fill(_check_sum_space(n, k, i), k, i))
 
 
 class _ShiftChain(Channel):
     """The shift chain on one (N, K, i) space as stay + drop * climb.
 
-    ``vecs`` are the states' count vectors in enumeration order.  State j
+    ``vecs`` are the states' count vectors in enumeration order, over
+    the N' = min(N, i + 1) levels a particle can reach.  State j
     stays with numerator ``stay[j]`` = phi(0) and drops by ``drops[j]``,
     one (intermediate, phi(d)) per level d >= 1 it holds, all over K.  The
     intermediates, of energy i - 1, are numbered as the drops first reach
     them; ``climbs[m]`` holds intermediate m's target indices, numerators
-    psi(u) and denominator K - psi(N-1).  Each factor row has O(N) entries.
-    The compile moves integer keys, key(v) = sum of v[j] * (K + 1)^j, a
-    drop at level d adding (K + 1)^(d-1) - (K + 1)^d, and makes one pass:
+    psi(u) and denominator K - psi(N'-1); psi(N-1) is the same, since an
+    intermediate has no particle at level i.  Each factor row has O(N')
+    entries.  The compile moves integer keys over the N' levels,
+    key(v) = sum of v[j] * (K + 1)^j, a drop at level d adding
+    (K + 1)^(d-1) - (K + 1)^d, and makes one pass:
     the climbs are the transpose of the drops, since the states that drop
     into an intermediate are exactly the ones it climbs back to, so the
     pass that numbers the intermediates also lists their climbs.
-    ``states`` (the configurations) and ``index`` (count vector to
-    position) are built on first use and kept.  ``push`` is two sparse
-    passes; ``row(j)`` is the merged row of ``shift`` from state j in
-    lowest terms, and calling the channel gives it as a ``Dist``.
+    ``states`` (the configurations) and ``index`` (count vector over all
+    N levels to position) pad ``vecs`` with N - N' zeros; both are built
+    on first use and kept.  ``push`` is two sparse passes; ``row(j)`` is
+    the merged row of ``shift`` from state j in lowest terms, and calling
+    the channel gives it as a ``Dist``.
 
     The chain is reversible under the Boltzmann law pi on multisets: the
     climb is the pi-reversal of the drop, so pi(phi) * P(phi, phi') =
@@ -243,24 +264,30 @@ class _ShiftChain(Channel):
         self.space = (k, i)
         self._states = self._index = None
         self.stay = [v[0] for v in vecs]
-        powers, up = _key_moves(n, k)
+        powers, up = _key_moves(len(vecs[0]), k)
         keys = [sum(map(operator.mul, v, powers)) for v in vecs]
         self.climbs = []
         self.drops, _ = _drop(vecs, keys, up, {}, self.climbs)
+
+    def _padded(self) -> Iterator[tuple[int, ...]]:
+        """The states' count vectors over all N levels."""
+        pad = (0,) * (len(self.ground) - len(self.vecs[0]))
+        return (v + pad for v in self.vecs)
 
     @property
     def states(self) -> list[Multiset]:
         """The configurations in enumeration order, built on first use."""
         if self._states is None:
             ground = self.ground
-            self._states = [Multiset._from_vector(ground, v) for v in self.vecs]
+            self._states = [Multiset._from_vector(ground, v) for v in self._padded()]
         return self._states
 
     @property
     def index(self) -> dict[tuple[int, ...], int]:
-        """The position of each count vector, built on first use."""
+        """The position of each count vector over all N levels, built on
+        first use."""
         if self._index is None:
-            self._index = dict(zip(self.vecs, range(len(self.vecs))))
+            self._index = dict(zip(self._padded(), range(len(self.vecs))))
         return self._index
 
     def row(self, j: int) -> _Row:
@@ -371,8 +398,8 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
     prior: from a level j back to the configurations containing it,
     each weighted by coefficient(phi) * phi(j), normalized."""
     vecs = _space(n, k, i)
-    ground = levels(n)
-    states = [Multiset._from_vector(ground, v) for v in vecs]
+    ground, pad = levels(n), (0,) * (n - len(vecs[0]))
+    states = [Multiset._from_vector(ground, v + pad) for v in vecs]
     rows = {j: Dist._from_counts(states, prior, sum(prior))
             for j, prior in _priors(states, zip(*vecs))}
     return _level_channel(rows, k, i)
@@ -471,8 +498,7 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
         raise ValueError("shift needs a configuration over levels 0..N-1")
     rng = random.Random(seed)
     vec = phi0.counts_vector()
-    k = sum(vec)
-    powers, up = _key_moves(len(vec), k)
+    k, powers, up, pad = _keys_of(vec)
     key = sum(map(operator.mul, vec, powers))
     configs = {key: phi0}  # the configuration of each key reached
     rows: dict[int, _Row] = {}  # targets, cumulative numerators, denominator
@@ -482,12 +508,13 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
     for _ in range(steps):
         row = rows.get(key)
         if row is None:
-            targets, nums, den = _shift_row(configs[key].counts_vector(), key, up, inters, climbs)
+            targets, nums, den = _shift_row(configs[key].counts_vector()[:len(powers)], key, up,
+                                            inters, climbs)
             row = rows[key] = targets, list(accumulate(nums)), den
         targets, cum, den = row
         key = targets[bisect_right(cum, rng.randrange(den))]
         phi = configs.get(key)
         if phi is None:
-            phi = configs[key] = Multiset._from_vector(ground, _vector(key, powers, k))
+            phi = configs[key] = Multiset._from_vector(ground, _vector(key, powers, k) + pad)
         path.append(phi)
     return path

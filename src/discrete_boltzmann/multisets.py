@@ -354,7 +354,8 @@ def _bounded_fill(caps: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
 
 def _level_sum_fill(n: int, k: int, i: int) -> Iterator[tuple[int, ...]]:
     """The count vectors over levels 0..n-1 with ``k`` particles and level
-    sum ``i``, colex order; the space must be valid.
+    sum ``i``, colex order; the space must be valid.  Its callers pass
+    the N' reachable levels that ``_check_sum_space`` returns.
 
     With r particles of sum w left for levels 0..l, level l takes at
     least max(0, w - (l - 1) * r), the least that leaves a sum the levels
@@ -410,31 +411,41 @@ def enumerate_multisets(ground: GroundSet, k: int,
     return (Multiset._from_vector(ground, vec) for vec in _bounded_fill(cap_vec, k))
 
 
-def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> None:
+def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> int:
     """The one check of a level-sum space, the size-K multisets over the
     levels 0..N-1 with sum i: N >= 1, K >= ``k_min`` and 0 <= i <= (N-1)K.
     Counting, enumeration and the shift chain allow K = 0; the Boltzmann
     and urn families pass ``k_min`` = 1.  An empty space reads as the
-    empty range [0, -1]."""
+    empty range [0, -1].
+
+    It returns N' = min(N, i + 1), the levels a particle can reach: none
+    sits above level i, so the space is the (N', K, i) space with each
+    count vector padded by N - N' zeros, in the same colex order.  The
+    level-sum routines work on N'-long vectors and pad them only where a
+    ``Multiset`` over ``levels(N)`` is built or looked up."""
     empty = n < 1 or k < k_min
     top = -1 if empty else (n - 1) * k
     if not 0 <= i <= top:
         need = f" (needs N >= 1 and K >= {k_min})" if empty else ""
         raise ValueError(f"sum {i} out of range [0, {top}] for N={n}, K={k}{need}")
+    return min(n, i + 1)
 
 
 def _count_with_sum(n: int, k: int, i: int) -> int:
     """The number of multisets ``enumerate_multisets_with_sum`` yields,
-    counted in O(N w) additions without building any, w = min(i, T - i).
+    counted in O(min(N, w) w) additions without building any,
+    w = min(i, T - i).
 
     It is the coefficient of q^i in the Gaussian binomial [N-1+K choose K]_q,
     the product over j = 1..N-1 of (1 - q^(K+j)) / (1 - q^j), whose
-    coefficients are palindromic about T/2 with T = (N-1)K.
+    coefficients are palindromic about T/2 with T = (N-1)K.  A factor
+    with j > w changes no coefficient up to q^w, so the product stops
+    at j = min(N - 1, w).
     """
     _check_sum_space(n, k, i)
     w = min(i, (n - 1) * k - i)
     a = [1] + [0] * w  # after step j: [K+j choose j]_q cut at w
-    for j in range(1, n):
+    for j in range(1, min(n, w + 1)):
         for d in range(w, k + j - 1, -1):  # times 1 - q^(K+j)
             a[d] -= a[d - k - j]
         for d in range(j, w + 1):  # over 1 - q^j
@@ -448,11 +459,12 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     Each count vector is the colex successor of the one before, taken in
     place under the remaining-size and remaining-sum bounds, never by
     filtering the full size-k family.  Canonical colex order.  An invalid
-    space raises at the call.
+    space raises at the call.  The fill runs on the N' levels a particle
+    can reach, and each vector is padded to N only here.
     """
-    _check_sum_space(n, k, i)
-    ground = levels(n)
-    return (Multiset._from_vector(ground, vec) for vec in _level_sum_fill(n, k, i))
+    reach = _check_sum_space(n, k, i)
+    ground, pad = levels(n), (0,) * (n - reach)
+    return (Multiset._from_vector(ground, vec + pad) for vec in _level_sum_fill(reach, k, i))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ K = 0; the Boltzmann and urn families need K >= 1.  ``flrn_dagger`` and
 ``shift_on_numbers`` read their priors from ``markov._priors``:
 ``_scan_row`` below is the per-row scan over every state that the shared
 prior replaced, kept here as the reference.  ``_count_with_sum`` sizes
-the space without building it and is held to the enumeration's length.
+the space without building it and is held to the enumeration's length;
+its product stops at j = min(N - 1, w), so many levels above a small sum
+cost nothing.
 """
 
 import pathlib
@@ -210,3 +212,12 @@ class TestSpaceSize:
             _count_with_sum(30, 200, 2000)
             best = min(best, time.perf_counter() - start)
         assert best < 0.05, best
+
+    def test_no_factor_above_the_sum(self):
+        assert _count_with_sum(10**6, 2, 3) == 2
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            _count_with_sum(10**6, 2, 3)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.001, best
