@@ -57,8 +57,8 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .distributions import Channel, Dist, _fraction, pushforward, total_variation
-from .multisets import (Multiset, _check_sum_space, _count_with_sum, _level_sum_fill, coefficient,
-                        levels)
+from .multisets import (Multiset, _check_sum_space, _count_with_sum, _level_sum_fill, _padded,
+                        _vector_coefficient, levels)
 
 __all__ = [
     "shift",
@@ -179,15 +179,16 @@ def _assemble(stay_key, stay: int, drops, climbs, k: int, low: int) -> _Row:
     return list(row), [x // g for x in row.values()], den // g
 
 
-def _keys_of(vec: tuple[int, ...]) -> tuple[int, list[int], list[int], tuple[int, ...]]:
+def _keys_of(vec: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
     """How a walk from the count vector ``vec`` over levels 0..N-1 is
-    keyed: its size K, the place values and moves of ``_key_moves`` over
-    its N' reachable levels, and the N - N' zeros that pad a decoded key
-    back to N levels.  A step keeps K and the energy E, so N' =
-    min(N, E + 1) holds for every configuration the walk reaches."""
+    keyed: its size K and the place values and moves of ``_key_moves``
+    over its N' reachable levels.  A step keeps K and the energy E, so
+    N' = min(N, E + 1) holds for every configuration the walk reaches,
+    and each shares the start's empty levels N'..N-1, which a decoded
+    key takes back."""
     k = sum(vec)
     reach = _check_sum_space(len(vec), k, sum(map(operator.mul, vec, range(len(vec)))))
-    return k, *_key_moves(reach, k), (0,) * (len(vec) - reach)
+    return k, *_key_moves(reach, k)
 
 
 def _shift_row(vec: tuple[int, ...], key: int, up: list[int], inters: dict[int, int],
@@ -213,10 +214,11 @@ def shift(phi: Multiset) -> Dist:
     if not phi.ground.is_levels():
         raise ValueError("shift needs a configuration over levels 0..N-1")
     vec = phi.counts_vector()
-    k, powers, up, pad = _keys_of(vec)
+    k, powers, up = _keys_of(vec)
+    top = vec[len(powers):]
     key = sum(map(operator.mul, vec, powers))
     targets, nums, den = _shift_row(vec[:len(powers)], key, up, {}, [])
-    return Dist._from_counts([Multiset._from_vector(phi.ground, _vector(t, powers, k) + pad)
+    return Dist._from_counts([Multiset._from_vector(phi.ground, _vector(t, powers, k) + top)
                               for t in targets], nums, den)
 
 
@@ -245,10 +247,10 @@ class _ShiftChain(Channel):
     into an intermediate are exactly the ones it climbs back to, so the
     pass that numbers the intermediates also lists their climbs.
     ``states`` (the configurations) and ``index`` (count vector over all
-    N levels to position) pad ``vecs`` with N - N' zeros; both are built
-    on first use and kept.  ``push`` is two sparse passes; ``row(j)`` is
-    the merged row of ``shift`` from state j in lowest terms, and calling
-    the channel gives it as a ``Dist``.
+    N levels to position) take ``vecs`` to N levels by ``_padded``; both
+    are built on first use and kept.  ``push`` is two sparse passes;
+    ``row(j)`` is the merged row of ``shift`` from state j in lowest
+    terms, and calling the channel gives it as a ``Dist``.
 
     The chain is reversible under the Boltzmann law pi on multisets: the
     climb is the pi-reversal of the drop, so pi(phi) * P(phi, phi') =
@@ -269,17 +271,13 @@ class _ShiftChain(Channel):
         self.climbs = []
         self.drops, _ = _drop(vecs, keys, up, {}, self.climbs)
 
-    def _padded(self) -> Iterator[tuple[int, ...]]:
-        """The states' count vectors over all N levels."""
-        pad = (0,) * (len(self.ground) - len(self.vecs[0]))
-        return (v + pad for v in self.vecs)
-
     @property
     def states(self) -> list[Multiset]:
         """The configurations in enumeration order, built on first use."""
         if self._states is None:
             ground = self.ground
-            self._states = [Multiset._from_vector(ground, v) for v in self._padded()]
+            self._states = [Multiset._from_vector(ground, v)
+                            for v in _padded(len(ground), self.vecs)]
         return self._states
 
     @property
@@ -287,7 +285,7 @@ class _ShiftChain(Channel):
         """The position of each count vector over all N levels, built on
         first use."""
         if self._index is None:
-            self._index = dict(zip(self._padded(), range(len(self.vecs))))
+            self._index = dict(zip(_padded(len(self.ground), self.vecs), range(len(self.vecs))))
         return self._index
 
     def row(self, j: int) -> _Row:
@@ -369,13 +367,14 @@ def stationarity_residual(omega: Dist, channel: Channel) -> Fraction:
     return iterate_chain(omega, channel, 1, omega)[1][1]
 
 
-def _priors(states: list[Multiset],
+def _priors(vecs: list[tuple[int, ...]],
             columns: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, list[int]]]:
     """The flrn-dagger prior of each attainable level j: the numerators
-    coefficient(phi) * phi(j) by state, read from the states' count
-    ``columns`` with one ``coefficient`` per state.  A level no state
-    holds (every level when K = 0) has no prior."""
-    weights = [coefficient(phi) for phi in states]
+    coefficient(phi) * phi(j) by state, read from the states' N'-long
+    count vectors ``vecs`` and their ``columns`` with one coefficient per
+    state; no configuration is built.  A level no state holds (every
+    level when K = 0) has no prior."""
+    weights = list(map(_vector_coefficient, vecs))
     for j, column in enumerate(columns):
         prior = list(map(operator.mul, weights, column))
         if any(prior):
@@ -398,10 +397,10 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
     prior: from a level j back to the configurations containing it,
     each weighted by coefficient(phi) * phi(j), normalized."""
     vecs = _space(n, k, i)
-    ground, pad = levels(n), (0,) * (n - len(vecs[0]))
-    states = [Multiset._from_vector(ground, v + pad) for v in vecs]
+    ground = levels(n)
+    states = [Multiset._from_vector(ground, v) for v in _padded(n, vecs)]
     rows = {j: Dist._from_counts(states, prior, sum(prior))
-            for j, prior in _priors(states, zip(*vecs))}
+            for j, prior in _priors(vecs, zip(*vecs))}
     return _level_channel(rows, k, i)
 
 
@@ -417,7 +416,7 @@ def shift_on_numbers(n: int, k: int, i: int) -> Channel:
     chain = _ShiftChain(n, k, i)
     columns = list(zip(*chain.vecs))
     rows = {}
-    for j, prior in _priors(chain.states, columns):
+    for j, prior in _priors(chain.vecs, columns):
         vec, den = chain.push(prior, sum(prior))
         counts = [sum(map(operator.mul, vec, col)) for col in columns]
         rows[j] = Dist._from_counts(range(len(counts)), counts, den * k)
@@ -498,7 +497,8 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
         raise ValueError("shift needs a configuration over levels 0..N-1")
     rng = random.Random(seed)
     vec = phi0.counts_vector()
-    k, powers, up, pad = _keys_of(vec)
+    k, powers, up = _keys_of(vec)
+    top = vec[len(powers):]
     key = sum(map(operator.mul, vec, powers))
     configs = {key: phi0}  # the configuration of each key reached
     rows: dict[int, _Row] = {}  # targets, cumulative numerators, denominator
@@ -515,6 +515,6 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
         key = targets[bisect_right(cum, rng.randrange(den))]
         phi = configs.get(key)
         if phi is None:
-            phi = configs[key] = Multiset._from_vector(ground, _vector(key, powers, k) + pad)
+            phi = configs[key] = Multiset._from_vector(ground, _vector(key, powers, k) + top)
         path.append(phi)
     return path

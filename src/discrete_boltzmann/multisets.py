@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
 
 Label = int | str
 
@@ -236,9 +237,13 @@ def size(phi: Multiset) -> int:
 
 def coefficient(phi: Multiset) -> int:
     """Number of sequences accumulating to ``phi``: size! / prod(counts!),
-    read from the count vector with one division; counts below 2 add no
-    factor."""
-    vec = phi.counts_vector()
+    read from the count vector by ``_vector_coefficient``."""
+    return _vector_coefficient(phi._vec)
+
+
+def _vector_coefficient(vec: tuple[int, ...]) -> int:
+    """size! / prod(counts!) of a count vector with one division; counts
+    below 2 add no factor, so zeros appended to ``vec`` change nothing."""
     den = 1
     for n in vec:
         if n > 1:
@@ -421,14 +426,26 @@ def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> int:
     It returns N' = min(N, i + 1), the levels a particle can reach: none
     sits above level i, so the space is the (N', K, i) space with each
     count vector padded by N - N' zeros, in the same colex order.  The
-    level-sum routines work on N'-long vectors and pad them only where a
-    ``Multiset`` over ``levels(N)`` is built or looked up."""
+    level-sum routines work on N'-long vectors, and ``_padded`` takes
+    them to N levels only where a ``Multiset`` over ``levels(N)`` is
+    built or looked up."""
     empty = n < 1 or k < k_min
     top = -1 if empty else (n - 1) * k
     if not 0 <= i <= top:
         need = f" (needs N >= 1 and K >= {k_min})" if empty else ""
         raise ValueError(f"sum {i} out of range [0, {top}] for N={n}, K={k}{need}")
     return min(n, i + 1)
+
+
+def _padded(n: int, vecs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Count vectors over the N' levels ``_check_sum_space`` returns, at
+    least one and all of one length, each over all N levels: its N - N'
+    zeros appended, N' read from the first.  The one place a level-sum
+    vector is padded; with N' = N each vector is returned as it is."""
+    vecs = iter(vecs)
+    first = next(vecs)
+    vecs = chain((first,), vecs)
+    return vecs if len(first) == n else map(tuple.__add__, vecs, repeat((0,) * (n - len(first))))
 
 
 def _count_with_sum(n: int, k: int, i: int) -> int:
@@ -460,11 +477,11 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     place under the remaining-size and remaining-sum bounds, never by
     filtering the full size-k family.  Canonical colex order.  An invalid
     space raises at the call.  The fill runs on the N' levels a particle
-    can reach, and each vector is padded to N only here.
+    can reach, and ``_padded`` takes each vector to N levels only here.
     """
-    reach = _check_sum_space(n, k, i)
-    ground, pad = levels(n), (0,) * (n - reach)
-    return (Multiset._from_vector(ground, vec + pad) for vec in _level_sum_fill(reach, k, i))
+    reach, ground = _check_sum_space(n, k, i), levels(n)
+    return (Multiset._from_vector(ground, vec)
+            for vec in _padded(n, _level_sum_fill(reach, k, i)))
 
 
 # ---------------------------------------------------------------------------

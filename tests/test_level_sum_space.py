@@ -43,7 +43,7 @@ from discrete_boltzmann import (
     transition_matrix,
 )
 from discrete_boltzmann import markov
-from discrete_boltzmann.multisets import _count_with_sum, _level_sum_fill
+from discrete_boltzmann.multisets import _count_with_sum, _level_sum_fill, _vector_coefficient
 
 MESSAGE = re.compile(r"^sum -?\d+ out of range \[0, -?\d+\] for N=-?\d+, K=-?\d+")
 
@@ -187,7 +187,8 @@ class TestPriorOwner:
             return wrapped
 
         monkeypatch.setattr(markov, "_level_sum_fill", counting("enumerate", _level_sum_fill))
-        monkeypatch.setattr(markov, "coefficient", counting("coefficient", coefficient))
+        monkeypatch.setattr(markov, "_vector_coefficient",
+                            counting("coefficient", _vector_coefficient))
         channel = build(n, k, i)
         for j in range(n):
             channel(j)

@@ -5,10 +5,11 @@ The intermediate psi climbs back to exactly the states that drop into
 it, so ``_ShiftChain`` lists each intermediate's climbs in the one drop
 pass and never runs ``_climb``, which serves single rows only.  The
 compile and ``push`` work on count vectors and integer keys: ``states``
-and ``index`` are built on first use, and ``sample_trajectory`` builds
-each configuration it reaches once.  Numeric labels of a multiset with
-no ground set infer the levels 0..max, so a label past
-``MAX_INFERRED_LEVELS`` is refused before any level is built.
+and ``index`` are built on first use, the level chain builds none, and
+``sample_trajectory`` builds each configuration it reaches once.
+Numeric labels of a multiset with no ground set infer the levels
+0..max, so a label past ``MAX_INFERRED_LEVELS`` is refused before any
+level is built.
 """
 
 import time
@@ -23,6 +24,7 @@ from discrete_boltzmann import (
     parse_multiset,
     sample_trajectory,
     shift,
+    shift_on_numbers,
     stationarity_residual,
 )
 from discrete_boltzmann import cli, markov, multisets
@@ -85,6 +87,12 @@ class TestConfigurationsAtTheBoundary:
         law = boltzmann_on_multisets(5, 6, 12)
         built.clear()
         assert stationarity_residual(law, _ShiftChain(5, 6, 12)) == 0
+        assert built == []
+
+    def test_level_chain_builds_no_configuration(self, built):
+        numbers = shift_on_numbers(40, 11, 34)
+        for level in range(35):
+            numbers(level)
         assert built == []
 
     def test_index_is_built_once(self):
