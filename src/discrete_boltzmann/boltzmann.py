@@ -18,7 +18,8 @@ one level-sum reader, shared with ``multivariate``'s per-kind levels, over
 from __future__ import annotations
 
 from .distributions import Dist, flrn, image, pushforward, uniform
-from .multisets import _check_sum_space, coefficient, enumerate_multisets_with_sum
+from .multisets import (_check_sum_space, _configurations, _level_sum_fill, _vector_coefficient,
+                         levels)
 from .nomials import DEFAULT_BUDGET, _row, _sequences_with_sum, nomial
 
 __all__ = [
@@ -34,10 +35,11 @@ __all__ = [
 
 def boltzmann_on_multisets(n: int, k: int, i: int) -> Dist:
     """Configurations of k particles over n levels with total energy i,
-    weighted by their multiset coefficients."""
-    _check_sum_space(n, k, i, k_min=1)
-    states = list(enumerate_multisets_with_sum(n, k, i))
-    return Dist._from_counts(states, list(map(coefficient, states)), nomial(n, k, i))
+    weighted by their multiset coefficients, read from the N'-long count
+    vectors of the space's reachable levels."""
+    vecs = list(_level_sum_fill(_check_sum_space(n, k, i, k_min=1), k, i))
+    return Dist._from_counts(list(_configurations(levels(n), vecs)),
+                             list(map(_vector_coefficient, vecs)), nomial(n, k, i))
 
 
 def _level_weights(n: int, k: int, kinds: int, i: int) -> tuple[range, list[int], int]:

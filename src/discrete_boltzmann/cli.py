@@ -6,7 +6,7 @@ Flags mirror the conventional letters: ``--levels`` is N, ``--particles``
 Every distribution output carries the exact rationals; floats are a
 convenience rendering and are flagged as approximate in JSON output.
 Exit codes: 0 success, 1 failed verification or a stdout closed early
-(with nothing on stderr), 2 usage or domain error.
+(with nothing on stderr), 2 usage or domain error or out of memory.
 The environment variable DBOLTZ_FORMAT picks the default output format.
 """
 
@@ -406,6 +406,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader is gone: send what stdout still buffers to devnull, so the

@@ -15,9 +15,9 @@ The kernel is the composite of two channels, P = (phi(0)/K) I + D C: the
 drop D moves a particle from level d >= 1 to d - 1 with weight phi(d)/K,
 and the climb C moves a particle of the intermediate psi from level
 u < N - 1 to u + 1 with weight psi(u)/(K - psi(N-1)).  ``_drop`` and
-``_climb`` compute those halves and own the move rule; each gives O(N')
-entries per row, where a merged row has O(N'^2), with N' the reachable
-levels below.  ``shift`` and the sampler assemble merged rows from them.
+``_climb`` own the move rule, each giving O(N') entries per row, N' the
+reachable levels below.  ``_walk`` assembles merged rows, O(N'^2) long,
+from them: ``shift`` is its first row and ``sample_trajectory`` its loop.
 
 The halves name configurations by integer keys, one base-(K + 1) digit
 per reachable level since no count exceeds K: key(v) = sum of
@@ -28,8 +28,8 @@ keeps the energy.  A drop at level d moves a key by
 (K + 1)^(u+1) - (K + 1)^u, so no neighbouring count vector is built;
 each intermediate's counts come from its source vector and its drop
 level.  Count vectors are N' long inside the chain and get their N - N'
-zeros only where a configuration over levels 0..N-1 is built or looked
-up.
+zeros only where a configuration over levels 0..N-1 is built, by
+``multisets._configurations`` or ``_walk``, or looked up, by ``index``.
 
 ``shift_channel`` compiles one (N, K, i) space once into the two factors
 and is a ``Channel`` in its own right.  The compile reads the space's
@@ -54,11 +54,11 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .distributions import Channel, Dist, _fraction, pushforward, total_variation
-from .multisets import (Multiset, _check_sum_space, _count_with_sum, _level_sum_fill, _padded,
-                        _vector_coefficient, levels)
+from .multisets import (Multiset, _check_sum_space, _configurations, _count_with_sum,
+                        _level_sum_fill, _padded, _vector_coefficient, levels)
 
 __all__ = [
     "shift",
@@ -89,11 +89,6 @@ def _key_moves(n: int, k: int) -> tuple[list[int], list[int]]:
     return powers, [b - a for a, b in zip(powers, powers[1:])]
 
 
-def _vector(key: int, powers: list[int], k: int) -> tuple[int, ...]:
-    """The size-K count vector whose key over ``powers`` is ``key``."""
-    return tuple([key // p % (k + 1) for p in powers])
-
-
 def _drop(vecs: list[tuple[int, ...]], keys: list[int], up: list[int], inters: dict[int, int],
           climbs: list[_Row] | None = None
           ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, tuple[int, ...], int]]]:
@@ -102,17 +97,17 @@ def _drop(vecs: list[tuple[int, ...]], keys: list[int], up: list[int], inters: d
     ``inters`` the intermediate with one particle moved to d - 1, of key
     key - up[d - 1].  Intermediates are numbered as first reached.
 
-    Without ``climbs``, each intermediate new to ``inters`` comes back as
-    (key, vec, d) for ``_climb``.  With ``climbs``, ``vecs`` is a whole
-    space in colex order and the climb half is read as the transpose of
-    the drop half.  The intermediate psi climbs at level u to
-    psi - e_u + e_(u+1), which is exactly a vector that drops into psi at
-    d = u + 1, with numerator psi(u) = vec[d - 1] + 1, over
-    K - psi(N-1), where psi(N-1) is vec[N-1] less one for a drop from
-    the top.  Those sources last differ at level u + 1, so colex order
-    reaches them by ascending u, the order ``_climb`` lists them in.  So
-    ``climbs[m]`` gets intermediate m's climb row, with targets as
-    positions in ``vecs``, and nothing comes back."""
+    Without ``climbs``, for one row of ``_walk``, each intermediate new to
+    ``inters`` comes back as (key, vec, d) for ``_climb``.  With
+    ``climbs``, ``vecs`` is a whole space in colex order and the climb
+    half is read as the transpose of the drop half.  The intermediate psi
+    climbs at level u to psi - e_u + e_(u+1), which is exactly a vector
+    that drops into psi at d = u + 1, with numerator psi(u) = vec[d - 1]
+    + 1, over K - psi(N-1), where psi(N-1) is vec[N-1] less one for a
+    drop from the top.  Those sources last differ at level u + 1, so
+    colex order reaches them by ascending u, the order ``_climb`` lists
+    them in.  So ``climbs[m]`` gets intermediate m's climb row, with
+    targets as positions in ``vecs``, and nothing comes back."""
     rows, new = [], []
     number = inters.get
     top = len(up)
@@ -145,8 +140,8 @@ def _climb(inters: list[tuple[int, tuple[int, ...], int]], up: list[int]) -> Ite
     returns: for the intermediate psi, vec with one particle moved from d
     to d - 1, per level u < N - 1 held, in order, the target key
     key + up[u] and the numerator psi(u), over their sum K - psi(N-1).
-    It serves single rows, where no state list exists; the compiled
-    chain reads its climbs off the drop pass."""
+    It serves ``_walk``'s single rows, where no state list exists; the
+    compiled chain reads its climbs off the drop pass."""
     for key, vec, d in inters:
         psi = list(vec)
         psi[d - 1] += 1
@@ -179,31 +174,46 @@ def _assemble(stay_key, stay: int, drops, climbs, k: int, low: int) -> _Row:
     return list(row), [x // g for x in row.values()], den // g
 
 
-def _keys_of(vec: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
-    """How a walk from the count vector ``vec`` over levels 0..N-1 is
-    keyed: its size K and the place values and moves of ``_key_moves``
-    over its N' reachable levels.  A step keeps K and the energy E, so
-    N' = min(N, E + 1) holds for every configuration the walk reaches,
-    and each shares the start's empty levels N'..N-1, which a decoded
-    key takes back."""
+def _walk(phi: Multiset) -> tuple[int, Callable, dict[int, Multiset], Callable]:
+    """A walk of the chain on integer keys from ``phi`` over levels 0..N-1:
+    its key, ``row(key)`` (the merged row from a key reached, targets as
+    keys, intermediates shared by all rows), ``configs`` (each key's
+    configuration, ``phi`` at its own) and ``config(key)``, which builds
+    one once into ``configs``.  A step keeps K and the energy E, so the
+    walk keys the N' = min(N, E + 1) levels and keeps the start's empty
+    levels N'..N-1, which each built configuration takes back."""
+    ground = phi.ground
+    if not ground.is_levels():
+        raise ValueError("shift needs a configuration over levels 0..N-1")
+    vec = phi.counts_vector()
     k = sum(vec)
     reach = _check_sum_space(len(vec), k, sum(map(operator.mul, vec, range(len(vec)))))
-    return k, *_key_moves(reach, k)
+    powers, up = _key_moves(reach, k)
+    top = vec[reach:]
+    key = sum(map(operator.mul, vec, powers))
+    configs = {key: phi}
+    inters: dict[int, int] = {}
+    climbs: list[_Row] = []
 
+    def row(key: int) -> _Row:
+        vec = configs[key].counts_vector()[:reach]
+        (drops,), new = _drop([vec], [key], up, inters)
+        climbs.extend(_climb(new, up))
+        return _assemble(key, vec[0], drops, climbs, k, k - vec[-1])
 
-def _shift_row(vec: tuple[int, ...], key: int, up: list[int], inters: dict[int, int],
-               climbs: list[_Row]) -> _Row:
-    """The row of ``shift`` on a count vector and its key, targets as
-    keys; ``inters`` and ``climbs`` keep each intermediate's number and
-    climb half for the calls that share them."""
-    (drops,), new = _drop([vec], [key], up, inters)
-    climbs.extend(_climb(new, up))
-    k = sum(vec)
-    return _assemble(key, vec[0], drops, climbs, k, k - vec[-1])
+    def config(key: int) -> Multiset:
+        phi = configs.get(key)
+        if phi is None:
+            phi = configs[key] = Multiset._from_vector(
+                ground, tuple([key // p % (k + 1) for p in powers]) + top)
+        return phi
+
+    return key, row, configs, config
 
 
 def shift(phi: Multiset) -> Dist:
-    """One step of the chain from configuration ``phi``.
+    """One step of the chain from configuration ``phi``: the first row
+    of its ``_walk``.
 
     With probability phi(0)/K the downgraded particle sat at level 0 and
     nothing happens.  Otherwise a particle drops from level d to d-1 and
@@ -211,15 +221,9 @@ def shift(phi: Multiset) -> Dist:
     below the top level, climbs one level.  Every target has the same
     size and the same energy total as ``phi``.
     """
-    if not phi.ground.is_levels():
-        raise ValueError("shift needs a configuration over levels 0..N-1")
-    vec = phi.counts_vector()
-    k, powers, up = _keys_of(vec)
-    top = vec[len(powers):]
-    key = sum(map(operator.mul, vec, powers))
-    targets, nums, den = _shift_row(vec[:len(powers)], key, up, {}, [])
-    return Dist._from_counts([Multiset._from_vector(phi.ground, _vector(t, powers, k) + top)
-                              for t in targets], nums, den)
+    key, row, _, config = _walk(phi)
+    targets, nums, den = row(key)
+    return Dist._from_counts(list(map(config, targets)), nums, den)
 
 
 def _space(n: int, k: int, i: int) -> list[tuple[int, ...]]:
@@ -246,9 +250,9 @@ class _ShiftChain(Channel):
     the climbs are the transpose of the drops, since the states that drop
     into an intermediate are exactly the ones it climbs back to, so the
     pass that numbers the intermediates also lists their climbs.
-    ``states`` (the configurations) and ``index`` (count vector over all
-    N levels to position) take ``vecs`` to N levels by ``_padded``; both
-    are built on first use and kept.  ``push`` is two sparse passes;
+    ``states`` (the configurations, by ``_configurations``) and ``index``
+    (count vector over all N levels to position, by ``_padded``) are
+    built on first use and kept.  ``push`` is two sparse passes;
     ``row(j)`` is the merged row of ``shift`` from state j in lowest
     terms, and calling the channel gives it as a ``Dist``.
 
@@ -275,9 +279,7 @@ class _ShiftChain(Channel):
     def states(self) -> list[Multiset]:
         """The configurations in enumeration order, built on first use."""
         if self._states is None:
-            ground = self.ground
-            self._states = [Multiset._from_vector(ground, v)
-                            for v in _padded(len(ground), self.vecs)]
+            self._states = list(_configurations(self.ground, self.vecs))
         return self._states
 
     @property
@@ -397,8 +399,7 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
     prior: from a level j back to the configurations containing it,
     each weighted by coefficient(phi) * phi(j), normalized."""
     vecs = _space(n, k, i)
-    ground = levels(n)
-    states = [Multiset._from_vector(ground, v) for v in _padded(n, vecs)]
+    states = list(_configurations(levels(n), vecs))
     rows = {j: Dist._from_counts(states, prior, sum(prior))
             for j, prior in _priors(vecs, zip(*vecs))}
     return _level_channel(rows, k, i)
@@ -485,36 +486,24 @@ def sample_trajectory(phi0: Multiset, steps: int, seed: int = 0) -> list[Multise
     Each successor is drawn exactly: one uniform integer below the
     step's denominator is placed by bisection among its integer
     cumulative numerators, in the order of ``shift(phi).numerators()``.
-    It walks integer keys, one row per visited configuration, and builds
-    each configuration reached once, reusing it wherever the path
+    It is the loop of ``_walk``: one row per visited configuration, each
+    configuration reached built once and reused wherever the path
     returns to it.  Sampling is a demonstration feature only; every
     equilibrium claim here is established by exact pushforward instead.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
-    ground = phi0.ground
-    if not ground.is_levels():
-        raise ValueError("shift needs a configuration over levels 0..N-1")
+    key, row, configs, config = _walk(phi0)
     rng = random.Random(seed)
-    vec = phi0.counts_vector()
-    k, powers, up = _keys_of(vec)
-    top = vec[len(powers):]
-    key = sum(map(operator.mul, vec, powers))
-    configs = {key: phi0}  # the configuration of each key reached
     rows: dict[int, _Row] = {}  # targets, cumulative numerators, denominator
-    inters: dict[int, int] = {}
-    climbs: list[_Row] = []
     path = [phi0]
     for _ in range(steps):
-        row = rows.get(key)
-        if row is None:
-            targets, nums, den = _shift_row(configs[key].counts_vector()[:len(powers)], key, up,
-                                            inters, climbs)
-            row = rows[key] = targets, list(accumulate(nums)), den
-        targets, cum, den = row
+        cached = rows.get(key)
+        if cached is None:
+            targets, nums, den = row(key)
+            cached = rows[key] = targets, list(accumulate(nums)), den
+        targets, cum, den = cached
         key = targets[bisect_right(cum, rng.randrange(den))]
         phi = configs.get(key)
-        if phi is None:
-            phi = configs[key] = Multiset._from_vector(ground, _vector(key, powers, k) + top)
-        path.append(phi)
+        path.append(config(key) if phi is None else phi)
     return path

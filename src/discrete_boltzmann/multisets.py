@@ -426,9 +426,9 @@ def _check_sum_space(n: int, k: int, i: int, k_min: int = 0) -> int:
     It returns N' = min(N, i + 1), the levels a particle can reach: none
     sits above level i, so the space is the (N', K, i) space with each
     count vector padded by N - N' zeros, in the same colex order.  The
-    level-sum routines work on N'-long vectors, and ``_padded`` takes
-    them to N levels only where a ``Multiset`` over ``levels(N)`` is
-    built or looked up."""
+    level-sum routines work on N'-long vectors; ``_configurations``
+    pads them to build a space's ``Multiset``s over ``levels(N)``, and
+    the shift chain's ``index`` pads them to look one up."""
     empty = n < 1 or k < k_min
     top = -1 if empty else (n - 1) * k
     if not 0 <= i <= top:
@@ -441,11 +441,17 @@ def _padded(n: int, vecs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]
     """Count vectors over the N' levels ``_check_sum_space`` returns, at
     least one and all of one length, each over all N levels: its N - N'
     zeros appended, N' read from the first.  The one place a level-sum
-    vector is padded; with N' = N each vector is returned as it is."""
+    vector is padded, for ``_configurations`` and the chain's ``index``."""
     vecs = iter(vecs)
     first = next(vecs)
     vecs = chain((first,), vecs)
     return vecs if len(first) == n else map(tuple.__add__, vecs, repeat((0,) * (n - len(first))))
+
+
+def _configurations(ground: GroundSet, vecs: Iterable[tuple[int, ...]]) -> Iterator[Multiset]:
+    """The ``Multiset``s over ``ground`` = levels(N) of a space's N'-long count
+    vectors, in order: the one builder of a level-sum space's configurations."""
+    return map(Multiset._from_vector, repeat(ground), _padded(len(ground), vecs))
 
 
 def _count_with_sum(n: int, k: int, i: int) -> int:
@@ -477,11 +483,10 @@ def enumerate_multisets_with_sum(n: int, k: int, i: int) -> Iterator[Multiset]:
     place under the remaining-size and remaining-sum bounds, never by
     filtering the full size-k family.  Canonical colex order.  An invalid
     space raises at the call.  The fill runs on the N' levels a particle
-    can reach, and ``_padded`` takes each vector to N levels only here.
+    can reach, and ``_configurations`` builds each multiset over N levels.
     """
-    reach, ground = _check_sum_space(n, k, i), levels(n)
-    return (Multiset._from_vector(ground, vec)
-            for vec in _padded(n, _level_sum_fill(reach, k, i)))
+    reach = _check_sum_space(n, k, i)
+    return _configurations(levels(n), _level_sum_fill(reach, k, i))
 
 
 # ---------------------------------------------------------------------------

@@ -322,3 +322,39 @@ class TestClosedPipe:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the address space")
+class TestOutOfMemory:
+    """A valid command that does not fit under a 1.5 GB address-space cap
+    ends with one error line and exit 2, as a domain error does, not with
+    a traceback.  10^8 levels of a ground set do not fit; the numbers
+    family builds none and still runs."""
+
+    CAP = 1_500_000_000
+    LEVELS = ["--levels", "100000000", "--particles", "2", "--sum", "3"]
+
+    def _capped(self, *argv):
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        return subprocess.run([sys.executable, "-m", "discrete_boltzmann.cli", *argv, *self.LEVELS],
+                              env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("argv", [("markov", "iterate", "--steps", "1"),
+                                      ("boltzmann", "multisets")], ids=["iterate", "multisets"])
+    def test_exit_2_with_one_line(self, argv):
+        proc = self._capped(*argv)
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+
+    def test_numbers_family_still_runs(self):
+        proc = self._capped("boltzmann", "numbers")
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.strip() == "1/4|0> + 1/4|1> + 1/4|2> + 1/4|3>"

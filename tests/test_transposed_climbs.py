@@ -6,7 +6,9 @@ it, so ``_ShiftChain`` lists each intermediate's climbs in the one drop
 pass and never runs ``_climb``, which serves single rows only.  The
 compile and ``push`` work on count vectors and integer keys: ``states``
 and ``index`` are built on first use, the level chain builds none, and
-``sample_trajectory`` builds each configuration it reaches once.
+a walk from one start (``shift`` is its first row, ``sample_trajectory``
+its loop) holds the start itself and builds each other configuration it
+reaches once.
 Numeric labels of a multiset with no ground set infer the levels
 0..max, so a label past ``MAX_INFERRED_LEVELS`` is refused before any
 level is built.
@@ -99,6 +101,14 @@ class TestConfigurationsAtTheBoundary:
         chain = _ShiftChain(4, 5, 7)
         assert chain.index is chain.index
         assert chain.index == {v: j for j, v in enumerate(chain.vecs)}
+
+    @pytest.mark.parametrize("n, k, i", [(4, 5, 7), (6, 11, 34), (3, 4, 4)])
+    def test_shift_keeps_its_start_and_builds_each_other_target_once(self, built, n, k, i):
+        for phi in list(enumerate_multisets_with_sum(n, k, i)):
+            built.clear()
+            targets = shift(phi).support
+            assert [psi for psi in targets if psi is phi] == [phi]
+            assert len(built) == len(targets) - 1
 
     def test_trajectory_builds_each_configuration_once(self, built):
         phi0 = next(enumerate_multisets_with_sum(4, 6, 9))
