@@ -39,11 +39,21 @@ drop into it, so its climbs are the transpose of the drops, collected in
 that same pass.  Configurations are built only where the API returns
 them, on first use.  Iteration pushes an integer vector over one
 denominator through the drop and the climb in turn; the stationarity
-residual is one step of it, each row of the level chain is one push of
-that level's flrn-dagger prior, and the matrix export assembles merged
-rows from the factors.  ``_priors`` owns that prior,
-coefficient(phi) * phi(j) by state, for ``flrn_dagger`` and the level
-chain alike.
+residual is one step of it, and the matrix export assembles merged
+rows from the factors.  ``_priors`` owns the flrn-dagger prior,
+coefficient(phi) * phi(j) by state, for ``flrn_dagger``.
+
+The level chain ``shift_on_numbers`` lists no configuration.  That prior
+counts the sequences x in {0..N-1}^K with sum i and x_1 = j, and one
+shift moves only counts of particles between levels, so row j is the
+expected level law after one shift of the counts of such an x.
+``_counted_row`` reads it as one integer sum over t, the number of the
+other K - 1 particles at the top level N - 1: the class of t holds
+C(K-1, t) R(m, s) sequences, with m = K - 1 - t, s = i - j - t(N - 1) and
+R = C_(N-1) an (N-1)-nomial row, and its first and mixed count moments
+are C(K-1, t) m R(m-1, s-a) and C(K-1, t) m (m-1) R(m-2, s-a).  Given t,
+the climb denominators L = K - T and L + 1 are fixed, so each row is
+those moments over K^2 n_j D, D the lcm of the L(L + 1).
 """
 
 from __future__ import annotations
@@ -53,12 +63,13 @@ import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, islice
+from typing import Callable, Iterator
 
 from .distributions import Channel, Dist, _fraction, pushforward, total_variation
 from .multisets import (Multiset, _check_sum_space, _configurations, _count_with_sum,
                         _level_sum_fill, _padded, _vector_coefficient, levels)
+from .nomials import _rows
 
 __all__ = [
     "shift",
@@ -369,15 +380,14 @@ def stationarity_residual(omega: Dist, channel: Channel) -> Fraction:
     return iterate_chain(omega, channel, 1, omega)[1][1]
 
 
-def _priors(vecs: list[tuple[int, ...]],
-            columns: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, list[int]]]:
+def _priors(vecs: list[tuple[int, ...]]) -> Iterator[tuple[int, list[int]]]:
     """The flrn-dagger prior of each attainable level j: the numerators
     coefficient(phi) * phi(j) by state, read from the states' N'-long
-    count vectors ``vecs`` and their ``columns`` with one coefficient per
+    count vectors ``vecs``, column j of them, and one coefficient per
     state; no configuration is built.  A level no state holds (every
     level when K = 0) has no prior."""
     weights = list(map(_vector_coefficient, vecs))
-    for j, column in enumerate(columns):
+    for j, column in enumerate(zip(*vecs)):
         prior = list(map(operator.mul, weights, column))
         if any(prior):
             yield j, prior
@@ -401,26 +411,121 @@ def flrn_dagger(n: int, k: int, i: int) -> Channel:
     vecs = _space(n, k, i)
     states = list(_configurations(levels(n), vecs))
     rows = {j: Dist._from_counts(states, prior, sum(prior))
-            for j, prior in _priors(vecs, zip(*vecs))}
+            for j, prior in _priors(vecs)}
     return _level_channel(rows, k, i)
 
 
-def shift_on_numbers(n: int, k: int, i: int) -> Channel:
-    """The level chain flrn after shift after flrn-dagger.
+def _counted_row(nomials: list[list[int]], k: int, top: int, reach: int, i: int,
+                 j: int) -> tuple[list[int], int]:
+    """Row j of the level chain, counted: its numerators on the levels
+    b < ``reach`` over K^2 n_j D, with n_j = 0 (and no numerators) when no
+    state holds level j.
 
-    Row j pushes the flrn-dagger prior coefficient(phi) * phi(j) once
-    through the compiled shift chain and reads the level counts of the
-    result over K times its denominator.  The chain is reversible: with
-    rho = ``boltzmann_on_numbers(n, k, i)``, rho(j) Q(j, j') =
+    Take x uniform over the sequences in {0..N-1}^K with sum i and x_1 = j,
+    and let T = t + [j = N-1] count the particles at the top level N - 1,
+    t of them among the other K - 1, and L = K - T those below it.  After
+    one shift of phi, the counts of x,
+
+        K E[phi''(b)] = (K - [b >= 1]) phi(b) + [b < N-1] phi(b+1)
+                        + (1 + T/(L+1)) h_b(phi) - phi(0) h_b(phi) / L
+                        + [b >= 1] (f(b) - f(b-1)) + [b < N-1] (f(b) - f(b+1)),
+
+    with h_b(psi) = [b >= 1] psi(b-1) - [b < N-1] psi(b), what one climb
+    moves into b, f(d) = phi(d) / L below the top and phi(d) / (L + 1) at
+    it, f(0) = 0, and the terms over L read as 0 when L = 0 (the one state
+    with every particle at the top, where h_b(phi) = 0).  With t fixed, T
+    and L are, so this is linear in phi and phi(0) phi.  With m = K - 1 - t,
+    s = i - j - t(N - 1) and R(r, w) = C_(N-1)(r, w) from ``nomials``, the
+    class of t holds W = C(K-1, t) R(m, s) sequences, and the other
+    particles' counts rho sum to C(K-1, t) m R(m-1, s-a) at each level
+    a < N - 1 and t W at the top, while rho(0) rho(a) sums to
+    C(K-1, t) m (m-1) R(m-2, s-a), plus the sum of rho(0) when a = 0;
+    phi = rho + e_j.  The classes are the t with 0 <= s <= (N-2) m, and D,
+    the lcm of their L(L + 1), is the lcm of their L and L + 1.
+    C(K-1, t) is stepped from one class to the next, each class adds its
+    moments once to four level vectors and five sums, each weighed by its
+    coefficient over D, and the level loop reads only those."""
+    lo = max(0, i - j - (top - 1) * (k - 1))
+    hi = min(k - 1, (i - j) // top) if top else k - 1
+    if lo > hi:
+        return [], 0
+    high = j == top
+    d = math.lcm(*range(max(1, k - hi - high), k - lo - high + 2))
+    # by level: phi(a); (1 + T/(L+1)) phi(a) D; f(a) D; phi(0) phi(a) D / L
+    held, moved, scaled, pairs = ([0] * (reach + 1) for _ in range(4))
+    size = moved_j = scaled_j = held_top = scaled_top = 0
+    c, s = math.comb(k - 1, lo), i - j - lo * top
+    for t in range(lo, hi + 1):
+        m, low = k - 1 - t, k - t - high
+        w = c * nomials[m][s]
+        slow = d // low if low else 0
+        fast = d // (low + 1)
+        move = d + (k - low) * fast
+        size += w
+        moved_j += move * w
+        scaled_j += slow * w
+        held_top += (k - low) * w
+        scaled_top += (k - low) * fast * w
+        if m:
+            one, two = nomials[m - 1], nomials[m - 2] if m > 1 else ()
+            c1, c2 = c * m, slow * c * m * (m - 1)
+            for a in range(max(0, s - len(one) + 1), min(top - 1, s) + 1):
+                x = c1 * one[s - a]
+                held[a] += x
+                moved[a] += move * x
+                scaled[a] += slow * x
+                if s - a < len(two):
+                    pairs[a] += c2 * two[s - a]
+        c = c * m // (t + 1)
+        s -= top
+    # so far rho and rho(0) rho below the top; now phi = rho + e_j and the top
+    pairs[0] += scaled[0]
+    pairs[j] += scaled[0]
+    if j == 0:
+        pairs = [p + x for p, x in zip(pairs, scaled)]
+        pairs[0] += scaled_j
+    held[j] += size
+    moved[j] += moved_j
+    scaled[j] += scaled_j
+    if top < reach:
+        held[top], scaled[top] = held_top, scaled_top
+    scaled[0] = 0
+    counts = []
+    for b in range(reach):
+        x = (k - (b > 0)) * d * held[b]
+        if b:
+            x += moved[b - 1] - pairs[b - 1] + scaled[b] - scaled[b - 1]
+        if b < top:
+            x += d * held[b + 1] - moved[b] + pairs[b] + scaled[b] - scaled[b + 1]
+        counts.append(x)
+    return counts, k * k * size * d
+
+
+def shift_on_numbers(n: int, k: int, i: int) -> Channel:
+    """The level chain flrn after shift after flrn-dagger, counted.
+
+    Row j is the law of the level of a uniform particle after one shift
+    of the counts of x, uniform over the sequences in {0..N-1}^K with sum
+    i and x_1 = j, since the flrn-dagger prior coefficient(phi) * phi(j)
+    counts those sequences.  ``_counted_row`` sums it over the number of
+    particles at the top level from (N-1)-nomial rows, so no
+    configuration is enumerated and no chain is compiled.  Rows cover
+    the N' = min(N, i + 1) levels a particle can reach, and the rows are
+    read from the window ``_rows`` on min(N - 1, i + 1) levels, cut at i,
+    whose values are the (N-1)-nomial ones.  The chain is reversible:
+    with rho = ``boltzmann_on_numbers(n, k, i)``, rho(j) Q(j, j') =
     rho(j') Q(j', j) on every pair of levels.
     """
-    chain = _ShiftChain(n, k, i)
-    columns = list(zip(*chain.vecs))
+    reach = _check_sum_space(n, k, i)
+    # the class of t top particles reads rows m - 2..m, m = K - 1 - t, and
+    # the fewest top particles any class holds is its lo at j = N' - 1
+    fewest = max(0, i - (reach - 1) - (n - 2) * (k - 1))
+    nomials = list(islice(_rows(min(n - 1, i + 1), i), max(0, k - fewest)))
     rows = {}
-    for j, prior in _priors(chain.vecs, columns):
-        vec, den = chain.push(prior, sum(prior))
-        counts = [sum(map(operator.mul, vec, col)) for col in columns]
-        rows[j] = Dist._from_counts(range(len(counts)), counts, den * k)
+    for j in range(reach):
+        counts, den = _counted_row(nomials, k, n - 1, reach, i, j)
+        if den:
+            rows[j] = Dist._from_counts(range(reach), counts, den)
     return _level_channel(rows, k, i)
 
 

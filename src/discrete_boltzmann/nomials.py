@@ -12,7 +12,8 @@ against each other.
 Row K of the triangle holds the coefficients of (1 + x + ... + x^(N-1))^K.
 Two row steps, which share no code, build it.  The sliding window
 ``_rows`` makes row K from row K-1 at O(1) per cell, for the whole
-triangle (``NomialTable.rows``) and the recursion oracle.
+triangle (``NomialTable.rows``), the recursion oracle and the level
+chain ``markov.shift_on_numbers``, which reads its first rows together.
 ``_row(n, k, width)`` runs the D-finite recurrence of one row, at O(1)
 big-integer steps per entry and with no earlier row; every other reader
 of a row, ``NomialTable.row`` included, calls it once per row it reads,
@@ -172,8 +173,10 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
     Row K is a sliding window of N entries over row K-1: each entry adds
     the one entering the window and subtracts the one leaving it,
     C_N(K, i) = C_N(K, i-1) + C_N(K-1, i) - C_N(K-1, i-N), so each cell
-    costs O(1).  Only ``NomialTable.rows``, which needs every row, and
-    the oracle ``nomial_recursive`` read it.
+    costs O(1).  Only ``NomialTable.rows``, which needs every row, the
+    oracle ``nomial_recursive`` and the level chain
+    ``markov.shift_on_numbers``, which needs the first K or fewer
+    (N-1)-nomial rows cut at its sum, read it.
     """
     row = [1]
     for k in itertools.count(1):

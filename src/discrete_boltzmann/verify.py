@@ -367,11 +367,17 @@ def _shift_stationarity(max_levels: int, max_size: int) -> str:
 
 
 def _numbers_chain_stationarity(max_levels: int, max_size: int) -> str:
-    """Stationarity by one push, and detailed balance
-    rho(a) * Q(a, b) = rho(b) * Q(b, a) on every level pair of the same rows."""
+    """Each counted row against the composition flrn after the compiled
+    shift chain after flrn-dagger, stationarity by one push, and detailed
+    balance rho(a) * Q(a, b) = rho(b) * Q(b, a) on every level pair of the
+    same rows."""
     for n, k, i in _spaces(max_levels, min(max_size, 4)):
         bn = boltzmann_on_numbers(n, k, i)
         chain = shift_on_numbers(n, k, i)
+        route = flrn_dagger(n, k, i).then(shift_channel(n, k, i)).then(Channel(flrn))
+        for j in bn.support:
+            if chain(j) != route(j):
+                _fail(f"counted level chain differs from its composition at ({n},{k},{i}), level {j}")
         if pushforward(chain, bn) != bn:
             _fail(f"numbers family not stationary at ({n},{k},{i})")
         for a, b in itertools.combinations(bn.support, 2):

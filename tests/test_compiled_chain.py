@@ -1,12 +1,13 @@
 """The compiled shift chain, held against the one-state kernel ``shift``.
 
 ``shift_channel`` compiles a space into sparse integer rows, and
-iteration, the stationarity residual, the matrix export, the lumped
-level chain and sampling all read rows of that form.  These tests hold
-the rows against ``shift`` itself, the integer iteration against
-``pushforward`` through a plain ``Channel(shift)``, the lumped level
-chain against its composition route, and check the inputs the
-compiled path must still reject.
+iteration, the stationarity residual, the matrix export and sampling
+all read rows of that form.  These tests hold the rows against
+``shift`` itself, the integer iteration against ``pushforward`` through
+a plain ``Channel(shift)``, the level chain, counted from nomial rows
+with no compiled chain, against its composition route through the
+compiled chain, and check the inputs the compiled path must still
+reject.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from discrete_boltzmann import (
     GroundSet,
     Multiset,
     boltzmann_on_multisets,
+    boltzmann_on_numbers,
     empty,
     enumerate_multisets_with_sum,
     flrn,
@@ -26,6 +28,7 @@ from discrete_boltzmann import (
     multichoose,
     parse_multiset,
     point,
+    pushforward,
     sample_trajectory,
     shift,
     shift_channel,
@@ -33,6 +36,7 @@ from discrete_boltzmann import (
     stationarity_residual,
     uniform,
 )
+from discrete_boltzmann import markov
 from discrete_boltzmann.markov import _ShiftChain
 
 
@@ -88,7 +92,7 @@ class TestIntegerIteration:
 class TestLumpedLevelChain:
     def test_matches_composition_route(self):
         checked = 0
-        for n, k, i in spaces(4, 4):
+        for n, k, i in spaces(6, 6):
             lumped = shift_on_numbers(n, k, i)
             route = flrn_dagger(n, k, i).then(shift_channel(n, k, i)).then(Channel(flrn))
             attainable = {j for phi in enumerate_multisets_with_sum(n, k, i) for j in phi.support()}
@@ -101,7 +105,7 @@ class TestLumpedLevelChain:
                         route(j)
                     with pytest.raises(ValueError):
                         lumped(j)
-        assert checked > 100
+        assert checked > 1000
 
     @pytest.mark.parametrize("n, k, i", [(6, 10, 25), (7, 8, 24)])
     def test_matches_composition_route_on_larger_spaces(self, n, k, i):
@@ -116,6 +120,53 @@ class TestLumpedLevelChain:
             for j in range(n):
                 with pytest.raises(ValueError):
                     chain(j)
+
+    @pytest.mark.parametrize("n, k, i, level", [
+        (1, 1, 0, 0), (1, 7, 0, 0),                      # one level
+        (2, 1, 0, 0), (5, 1, 3, 3), (1000, 1, 7, 7),     # one particle
+        (2, 3, 3, 1), (3, 4, 8, 2), (5, 2, 8, 4),        # every particle at the top
+    ])
+    def test_one_state_on_one_level_stays(self, n, k, i, level):
+        """A space whose one state holds every particle on one level:
+        N = 1, K = 1, or sum (N-1)K, where no particle is below the top
+        (L = 0) and the drop's particle climbs back.  That level's row is
+        the point, and every other level is unattainable."""
+        chain = shift_on_numbers(n, k, i)
+        assert chain(level) == point(level)
+        for j in range(min(n, i + 2)):
+            if j != level:
+                with pytest.raises(ValueError, match=f"level {j} is unattainable"):
+                    chain(j)
+
+    def test_counts_without_the_compiled_chain(self, monkeypatch):
+        """The level chain neither compiles the shift chain nor enumerates
+        a space nor builds a ground set of levels."""
+        expected = {}
+        for n, k, i in [(3, 4, 4), (5, 6, 12), (4, 3, 5), (6, 5, 3)]:
+            route = flrn_dagger(n, k, i).then(shift_channel(n, k, i)).then(Channel(flrn))
+            expected[n, k, i] = [route(j) for j in range(min(n, i + 1))]
+
+        def refuse(*args):
+            raise AssertionError("reached")
+
+        for name in ("_ShiftChain", "_level_sum_fill", "_space", "levels"):
+            monkeypatch.setattr(markov, name, refuse)
+        for (n, k, i), rows in expected.items():
+            chain = shift_on_numbers(n, k, i)
+            assert [chain(j) for j in range(len(rows))] == rows, (n, k, i)
+
+    @pytest.mark.parametrize("n, k, i", [(12, 16, 80), (20, 40, 300), (10**8, 2, 3)])
+    def test_numbers_family_is_its_fixed_point_on_large_spaces(self, n, k, i):
+        """Spaces of 234,448 states and more, and 10^8 levels: stationary
+        and in detailed balance, with every reachable level a row."""
+        rho = boltzmann_on_numbers(n, k, i)
+        chain = shift_on_numbers(n, k, i)
+        assert pushforward(chain, rho) == rho
+        for a in rho.support:
+            row = chain(a)
+            assert max(row.support) <= i
+            for b in row.support:
+                assert rho(a) * row(b) == rho(b) * chain(b)(a), (a, b)
 
 
 class TestCompiledPathRejects:
