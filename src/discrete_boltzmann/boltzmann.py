@@ -45,8 +45,9 @@ def boltzmann_on_multisets(n: int, k: int, i: int) -> Dist:
 def _level_weights(n: int, k: int, kinds: int, i: int) -> tuple[range, list[int], int]:
     """The one level-sum reader: ``kinds`` = L of K particles sum to s in
     ``sums`` with weight C_N(K-L, i-s) over C_N(K, i).  Row K-L is cut at
-    w = min(i, (N-1)K - i), read mirrored above half the top sum, at O(w)
-    steps; the normalizer is ``nomial``'s."""
+    w = min(i, (N-1)K - i) and read mirrored above half the top sum; its
+    recurrence runs to min(w, T'//2) with T' = (N-1)(K-L) and mirrors the
+    rest, at O(min(w, T'/2)) steps.  The normalizer is ``nomial``'s."""
     _check_sum_space(n, k, i, k_min=1)
     top = (n - 1) * (k - kinds)
     lo, hi = max(0, i - top), min((n - 1) * kinds, i)

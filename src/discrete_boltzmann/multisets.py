@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 Label = int | str
 
@@ -170,7 +170,7 @@ class Multiset:
         return self._vec
 
     def items(self) -> tuple[tuple[Label, int], ...]:
-        return tuple((x, n) for x, n in zip(self._ground.labels, self._vec) if n)
+        return tuple(compress(zip(self._ground.labels, self._vec), self._vec))
 
     def __call__(self, label: Label) -> int:
         k = self._ground._index.get(label)

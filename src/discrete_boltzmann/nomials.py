@@ -15,10 +15,12 @@ Two row steps, which share no code, build it.  The sliding window
 triangle (``NomialTable.rows``), the recursion oracle and the level
 chain ``markov.shift_on_numbers``, which reads its first rows together.
 ``_row(n, k, width)`` runs the D-finite recurrence of one row, at O(1)
-big-integer steps per entry and with no earlier row; every other reader
-of a row, ``NomialTable.row`` included, calls it once per row it reads,
-so rows read together (the level-sum law's K-L, the Vandermonde split's
-K1 and K2, an urn's per-label rows) are independent runs.
+big-integer steps per entry and with no earlier row, only to the row's
+middle floor(T/2): the entries past it are the first half mirrored (the
+palindrome below).  Every other reader of a row, ``NomialTable.row``
+included, calls it once per row it reads, so rows read together (the
+level-sum law's K-L, the Vandermonde split's K1 and K2, an urn's
+per-label rows) are independent runs.
 
 A single value reads no row.  Every row is a palindrome: level reversal
 j -> N-1-j preserves multiset coefficients (``multisets.reverse``), so
@@ -176,7 +178,9 @@ def _rows(n: int, width: int) -> Iterator[list[int]]:
     costs O(1).  Only ``NomialTable.rows``, which needs every row, the
     oracle ``nomial_recursive`` and the level chain
     ``markov.shift_on_numbers``, which needs the first K or fewer
-    (N-1)-nomial rows cut at its sum, read it.
+    (N-1)-nomial rows cut at its sum, read it.  It computes every entry
+    and mirrors none, so it is the full-row reference that the tests and
+    the self-check's palindrome law read.
     """
     row = [1]
     for k in itertools.count(1):
@@ -196,22 +200,31 @@ def _row(n: int, k: int, width: int) -> list[int]:
     with a[0] = 1, a[j < 0] = 0 and an exact division: three
     big-integer-by-small products per entry, whatever K is.  Below N the
     last two terms vanish, so those N-1 steps run as a plain product.
+    The recurrence runs only to half = min(width, floor(T/2)) with
+    T = (N-1)K; entries past it are the palindrome's mirror,
+    C_N(K, i) = C_N(K, T - i), copied from the first half.
     """
-    top = min(width, (n - 1) * k)
+    full = (n - 1) * k
+    top = min(width, full)
+    half = min(top, full // 2)
     a = [0, 1]  # a[j + 1] = C_N(K, j); the leading 0 is C_N(K, -1)
-    for m in range(min(top, n - 1)):
+    for m in range(min(half, n - 1)):
         a.append(a[-1] * (m + k) // (m + 1))
-    for m in range(n - 1, top):
+    for m in range(n - 1, half):
         a.append(((m + k) * a[m + 1] + (m + 1 - n - k * n) * a[m + 2 - n]
                   + (k * (n - 1) - m + n) * a[m + 1 - n]) // (m + 1))
-    return a[1:]
+    row = a[1:]
+    if top > half:  # C_N(K, half+1..top) = C_N(K, T-half-1..T-top)
+        row += row[full - top:full - half][::-1]
+    return row
 
 
 def polynomial_expand(n: int, k: int) -> list[int]:
     """Exact integer coefficients of (1 + x + ... + x^(N-1))^K.
 
     The coefficient of x^i is C_N(K, i); this is the generating-function
-    route, the full row K from one run of ``_row``'s recurrence.
+    route, the full row K from one run of ``_row``'s recurrence to the
+    middle (N-1)K // 2, the rest mirrored.
     """
     _check_sum_space(n, k, 0)
     return _row(n, k, (n - 1) * k)
@@ -221,8 +234,9 @@ def vandermonde_check(n: int, k1: int, k2: int, i: int) -> bool:
     """Does C_N(K1+K2, i) split as the convolution over i1 + i2 = i?
 
     The rows K1 and K2 are cut at min(i, T - i) with T = (N-1)(K1+K2),
-    each from its own run of ``_row``'s recurrence at O(min(i, T - i))
-    steps, and the left side is ``nomial``'s value, so the convolution
+    each from its own run of ``_row``'s recurrence, which stops at that
+    cut or at the row's own middle, whichever comes first, and mirrors
+    the rest; the left side is ``nomial``'s value, so the convolution
     is held against the inclusion-exclusion sum, which reads no row.
     Reflecting every level maps the split at i term by term onto the
     split at T - i (i1 -> (N-1)K1 - i1), so both cuts check the same sum.
@@ -243,8 +257,9 @@ class NomialTable:
 
     Row K has (N-1)*K + 1 entries, is palindromic, and sums to N^K.  The
     table stores only N and K_max: ``row`` runs ``_row``'s recurrence
-    once, ``value`` calls ``nomial``, and ``rows`` makes one pass of the
-    window, which builds each row from the one before.
+    once, to the middle of the row, and mirrors the rest, ``value`` calls
+    ``nomial``, and ``rows`` makes one pass of the window, which builds
+    each row, every entry computed, from the one before.
     """
 
     def __init__(self, n: int, k_max: int):

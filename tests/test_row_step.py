@@ -181,14 +181,24 @@ def window_row(n: int, k: int, width: int) -> list[int]:
 
 
 class TestRecurrence:
-    """``_row`` runs the D-finite recurrence of one row."""
+    """``_row`` runs the D-finite recurrence of one row to its middle and
+    mirrors the rest."""
 
     def test_rows_equal_the_window(self):
-        for n in range(1, 9):
-            for k in range(13):
-                top = (n - 1) * k
-                for w in sorted({0, 1, n - 1, n, top // 2, top, top + 1}):
+        # every cut, so floor(T/2), floor(T/2) + 1 and ceil(T/2) of odd and
+        # even T, N = 1 and K = 0 included
+        for n in range(1, 10):
+            for k in range(15):
+                for w in range((n - 1) * k + 2):
                     assert _row(n, k, w) == window_row(n, k, w), (n, k, w)
+
+    @pytest.mark.parametrize("n, k", [(30, 100), (12, 2000)])
+    def test_mirrored_table_rows_against_nomial(self, n, k):
+        top = (n - 1) * k
+        row = NomialTable(n, k).row(k)
+        assert len(row) == top + 1 and sum(row) == n ** k
+        for i in (top // 2, top // 2 + 1, top - 1):
+            assert row[i] == nomial(n, k, i), (n, k, i)
 
     @pytest.mark.parametrize("n, k, i", [(100, 400, 19800), (200, 800, 158000)])
     def test_rows_of_the_numbers_family_against_the_oracle(self, n, k, i):
